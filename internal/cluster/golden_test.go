@@ -58,4 +58,7 @@ func TestGoldenMap(t *testing.T) {
 	if un := dec.Unassigned(); !reflect.DeepEqual(un, []int{3}) {
 		t.Errorf("golden map unassigned = %v, want [3]", un)
 	}
+	if _, err := Decode(append(want[:len(want):len(want)], 0)); err == nil {
+		t.Errorf("golden map decoded cleanly with a trailing byte")
+	}
 }

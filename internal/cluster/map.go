@@ -279,61 +279,56 @@ func Assemble(version uint64, nodes []Node, shards int, owners []string) (*Map, 
 	return &Map{Version: version, Shards: shards, Nodes: base.Nodes, owner: owner}, nil
 }
 
-// Encode serializes the map with the WAL codec, shipping the full
-// assignment explicitly — planned handoffs can diverge from the pure
-// consistent-hash placement, so receivers must not recompute.
-func (m *Map) Encode() []byte {
-	var e wal.Encoder
-	e.U8(mapCodecVersion)
-	e.U64(m.Version)
-	e.U32(uint32(m.Shards))
-	e.U32(uint32(len(m.Nodes)))
-	for _, n := range m.Nodes {
-		e.Str(n.Name)
-		e.Str(n.Addr)
-	}
-	for _, o := range m.owner {
-		// Owner indices ride as two's-complement int32 in a U32 slot so
-		// the unowned marker (-1) survives the wire.
-		e.U32(uint32(int32(o)))
-	}
-	return append([]byte(nil), e.Bytes()...)
-}
-
+// mapCodecVersion leads every encoded map.
 const mapCodecVersion = 1
 
-// Decode parses a map written by Encode.
-func Decode(b []byte) (*Map, error) {
-	d := wal.NewDecoder(b)
-	if v := d.U8(); v != mapCodecVersion && d.Err() == nil {
-		return nil, fmt.Errorf("cluster: unsupported map codec version %d", v)
+// mapFields is the map's one wire description (DESIGN.md §13): the full
+// assignment ships explicitly — planned handoffs can diverge from the
+// pure consistent-hash placement, so receivers must not recompute. The
+// owner array has no count of its own; it is Shards long.
+func mapFields(c *wal.Codec, m *Map) {
+	ver := uint8(mapCodecVersion)
+	c.U8(&ver)
+	if ver != mapCodecVersion {
+		c.Fail(fmt.Errorf("cluster: unsupported map codec version %d", ver))
 	}
-	version := d.U64()
-	shards := int(d.U32())
-	n := d.Count(8, "nodes")
-	nodes := make([]Node, 0, n)
-	for i := 0; i < n; i++ {
-		nodes = append(nodes, Node{Name: d.Str(), Addr: d.Str()})
+	c.U64(&m.Version)
+	c.Count(&m.Shards, 4, "shards")
+	wal.Slice(c, &m.Nodes, 8, "nodes", func(c *wal.Codec, n *Node) {
+		c.Str(&n.Name)
+		c.Str(&n.Addr)
+	})
+	if c.Decoding() {
+		m.owner = make([]int, m.Shards)
 	}
-	if shards < 0 || int64(shards)*4 > int64(d.Remaining()) {
-		return nil, fmt.Errorf("cluster: decoding map: implausible shard count %d", shards)
-	}
-	owner := make([]int, 0, shards)
-	for s := 0; s < shards; s++ {
-		owner = append(owner, int(int32(d.U32())))
-	}
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("cluster: decoding map: %w", err)
-	}
-	for _, o := range owner {
-		if o != unowned && (o < 0 || o >= len(nodes)) {
-			return nil, fmt.Errorf("cluster: decoding map: owner index %d out of range for %d nodes", o, len(nodes))
+	for i := range m.owner {
+		// Owner indices ride as two's-complement int32 in a u32 slot so
+		// the unowned marker (-1) survives the wire.
+		o := uint32(int32(m.owner[i]))
+		c.U32(&o)
+		if c.Decoding() {
+			m.owner[i] = int(int32(o))
 		}
 	}
-	m := &Map{Version: version, Shards: shards, Nodes: nodes, owner: owner}
+}
+
+// Encode serializes the map.
+func (m *Map) Encode() []byte { return wal.Marshal(mapFields, m) }
+
+// Decode parses and validates a map written by Encode.
+func Decode(b []byte) (*Map, error) {
+	m := new(Map)
+	if err := wal.Unmarshal(mapFields, b, "map", m); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	for _, o := range m.owner {
+		if o != unowned && (o < 0 || o >= len(m.Nodes)) {
+			return nil, fmt.Errorf("cluster: decoding map: owner index %d out of range for %d nodes", o, len(m.Nodes))
+		}
+	}
 	// Re-validate the node set through Compute's rules (sorted, unique,
 	// non-empty names) without discarding the explicit assignment.
-	if _, err := Compute(version, nodes, shards); err != nil {
+	if _, err := Compute(m.Version, m.Nodes, m.Shards); err != nil {
 		return nil, err
 	}
 	return m, nil

@@ -20,8 +20,6 @@ func TestConfinedFixture(t *testing.T) { linttest.Run(t, lint.Confined, "testdat
 
 func TestAtomicCheckFixture(t *testing.T) { linttest.Run(t, lint.AtomicCheck, "testdata/atomiccheck") }
 
-func TestCodecSymFixture(t *testing.T) { linttest.Run(t, lint.CodecSym, "testdata/codecsym") }
-
 func TestAllocFreeFixture(t *testing.T) { linttest.Run(t, lint.AllocFree, "testdata/allocfree") }
 
 func TestUnitCheckFixture(t *testing.T) { linttest.Run(t, lint.UnitCheck, "testdata/unitcheck") }

@@ -32,24 +32,6 @@ type shard struct {
 	legacy uint64 // richnote:atomic
 }
 
-type Encoder struct{ buf []byte }
-
-func (e *Encoder) U32(v uint32) {}
-func (e *Encoder) U64(v uint64) {}
-
-type Decoder struct{ off int }
-
-func (d *Decoder) U32() uint32 { return 0 }
-func (d *Decoder) U64() uint64 { return 0 }
-
-func encodeThing(e *Encoder, v uint64) {
-	e.U64(v)
-}
-
-func decodeThing(d *Decoder) uint64 {
-	return uint64(d.U32())
-}
-
 // richnote:allocfree
 func hot(n int) []byte {
 	return make([]byte, n)
@@ -91,24 +73,6 @@ type shard struct {
 func (s *shard) bump() { s.round++ }
 
 func touch(s *shard) { atomic.AddUint64(&s.legacy, 1) }
-
-type Encoder struct{ buf []byte }
-
-func (e *Encoder) U32(v uint32) {}
-func (e *Encoder) U64(v uint64) {}
-
-type Decoder struct{ off int }
-
-func (d *Decoder) U32() uint32 { return 0 }
-func (d *Decoder) U64() uint64 { return 0 }
-
-func encodeThing(e *Encoder, v uint64) {
-	e.U64(v)
-}
-
-func decodeThing(d *Decoder) uint64 {
-	return d.U64()
-}
 
 // richnote:allocfree
 func hot(buf []byte, n int) []byte {
@@ -238,7 +202,7 @@ func TestDriverScopeGating(t *testing.T) {
 	for _, f := range findings {
 		got[f.Analyzer] = true
 	}
-	for _, name := range []string{"spendcheck", "confined", "atomiccheck", "codecsym", "allocfree", "unitcheck"} {
+	for _, name := range []string{"spendcheck", "confined", "atomiccheck", "allocfree", "unitcheck"} {
 		if !got[name] {
 			t.Errorf("unscoped analyzer %s did not fire:\n%s", name, render(findings))
 		}

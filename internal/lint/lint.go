@@ -1,10 +1,9 @@
 // Package lint implements richnote-lint, the repo's in-house static
 // analyzers. They machine-check the invariants that keep the system
-// deterministic, goroutine-confined, budget-correct and codec-symmetric
-// — properties that previously lived only in doc comments (network.Model
-// is not concurrency-safe; RNGs are injected and seeded; radio overhead
-// is charged only after an affordable selection is confirmed; every
-// encoder has a decoder that reads exactly the bytes it wrote).
+// deterministic, goroutine-confined and budget-correct — properties that
+// previously lived only in doc comments (network.Model is not
+// concurrency-safe; RNGs are injected and seeded; radio overhead is
+// charged only after an affordable selection is confirmed).
 //
 // The Analyzer/Pass shapes deliberately mirror
 // golang.org/x/tools/go/analysis so each analyzer can be ported to a
@@ -146,7 +145,7 @@ func RunAnalyzer(a *Analyzer, unit *PackageInfo, files []*ast.File) []Finding {
 func All() []*Analyzer {
 	return []*Analyzer{
 		SeedRand, WallClock, SpendCheck, Confined, AtomicCheck,
-		CodecSym, AllocFree, UnitCheck,
+		AllocFree, UnitCheck,
 	}
 }
 

@@ -940,15 +940,12 @@ func TestClusterJoinValidation(t *testing.T) {
 
 	announce := func(jr joinReq) joinResp {
 		t.Helper()
-		var e wal.Encoder
-		encodeJoinReq(&e, jr)
-		_, raw, err := c.Call(FrameJoin, e.Bytes())
+		_, raw, err := c.Call(FrameJoin, wal.Marshal(joinReqFields, &jr))
 		if err != nil {
 			t.Fatalf("FrameJoin: %v", err)
 		}
-		d := wal.NewDecoder(raw)
-		resp := decodeJoinResp(d)
-		if err := decodeErr(d, "join response"); err != nil {
+		var resp joinResp
+		if err := wal.Unmarshal(joinRespFields, raw, "join response", &resp); err != nil {
 			t.Fatal(err)
 		}
 		return resp

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,10 +24,10 @@ import (
 // The files under testdata/golden pin every byte string this package
 // writes to disk or to the wire: both WAL record payloads, a full v2
 // snapshot, and the payload of every cluster frame. They were generated
-// by the hand-mirrored encoders that preceded the Fields functions, so a
-// codec change is format-preserving exactly when these files do not move.
-// Every encoded field holds a distinct non-zero value, so two fields
-// swapped in a description show up as a byte difference.
+// by the hand-mirrored encodeX/decodeX pairs that preceded the Fields
+// functions, so a codec change is format-preserving exactly when these
+// files do not move. Every encoded field holds a distinct non-zero value,
+// so two fields swapped in a description show up as a byte difference.
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the current encoders")
 
@@ -296,7 +297,7 @@ func (st goldenShardState) install(t *testing.T, sh *shard) {
 		t.Fatal(err)
 	}
 	for u, feed := range st.feeds {
-		sh.setFeed(u, feed)
+		sh.feeds[u] = feed // never started: no reader to lock against
 	}
 	// The snapshot header records the log sequence it supersedes; reopen
 	// the (empty) log so that number is a distinctive one.
@@ -427,40 +428,60 @@ func TestGoldenRecords(t *testing.T) {
 		t.Fatalf("log holds record types %v, want one publish and one round record", payloads)
 	}
 
-	d := wal.NewDecoder(golden(t, "rec_publish.bin", payloads[recPublish]))
-	if got := decodeEnvelope(d); d.Err() != nil || d.Remaining() != 0 || !reflect.DeepEqual(got, env) {
-		t.Errorf("golden publish record decoded to %+v (err %v, %d bytes left), want %+v", got, d.Err(), d.Remaining(), env)
+	var gotEnv envelope
+	if err := wal.Unmarshal(envelopeFields, golden(t, "rec_publish.bin", payloads[recPublish]), "publish record", &gotEnv); err != nil || !reflect.DeepEqual(gotEnv, env) {
+		t.Errorf("golden publish record decoded to %+v (err %v), want %+v", gotEnv, err, env)
 	}
-	d = wal.NewDecoder(golden(t, "rec_round.bin", payloads[recRound]))
-	if got := int(d.I64()); d.Err() != nil || d.Remaining() != 0 || got != round {
-		t.Errorf("golden round record decoded to %d (err %v, %d bytes left), want %d", got, d.Err(), d.Remaining(), round)
+	var gotRound int
+	if err := wal.Unmarshal(roundFields, golden(t, "rec_round.bin", payloads[recRound]), "round record", &gotRound); err != nil || gotRound != round {
+		t.Errorf("golden round record decoded to %d (err %v), want %d", gotRound, err, round)
 	}
 }
 
-// goldenFrame is one cluster frame payload: how the parent's code wrote
-// it, and (where the parent had a decoder function) what it reads back as.
-type goldenFrame struct {
+// codecCase is one described type with a golden value: its encoding, and
+// a decode-then-re-encode of arbitrary bytes. file names the golden file
+// holding the encoding, for the types that are a whole frame payload.
+type codecCase struct {
+	name   string
 	file   string
-	encode func(e *wal.Encoder)
-	decode func(d *wal.Decoder) any // nil: the parent decoded this payload inline
 	want   any
+	encode func() []byte
+	decode func(b []byte) (v any, reencoded []byte, err error)
 }
 
-func goldenFrames() []goldenFrame {
+func caseOf[T any](name, file string, fields func(*wal.Codec, *T), v T) codecCase {
+	return codecCase{
+		name:   name,
+		file:   file,
+		want:   v,
+		encode: func() []byte { return wal.Marshal(fields, &v) },
+		decode: func(b []byte) (any, []byte, error) {
+			var got T
+			if err := wal.Unmarshal(fields, b, name, &got); err != nil {
+				return nil, nil, err
+			}
+			return got, wal.Marshal(fields, &got), nil
+		},
+	}
+}
+
+// codecCases lists every Fields function that describes a whole payload
+// or a whole unit of the snapshot (the rest are reached through these).
+// The frame values are drawn in the order the golden files were written.
+func codecCases() []codecCase {
 	v := &vals{n: 100}
 	env := v.envelope()
 	outcome := publishOutcome{status: byte(v.i64()), retryAfter: v.int(), mapVer: v.u64(), errText: v.str()}
-	user := v.i64()
-	deliveries := []notif.Delivery{v.delivery(), v.delivery()}
-	tickShards, tickRounds := []int{v.int(), v.int()}, []int{v.int(), v.int()}
-	health := nodeHealth{
-		Name: v.str(), Role: v.str(), MapVersion: v.u64(),
-		OwnedShards: []int{v.int(), v.int()}, Rounds: []int{v.int(), v.int()},
-		Users: v.int(), QueueDepth: v.int(), Errs: []string{v.str(), v.str()},
-	}
-	mapVersion := v.u64()
-	shard := uint32(v.i64())
-	snap, state := v.str(), v.str()
+	deliveries := deliveriesReq{User: notif.UserID(v.i64())}
+	delivered := deliveriesResp{Owned: true, Deliveries: []notif.Delivery{v.delivery(), v.delivery()}}
+	tick := tickResp{Shards: []shardRound{{Shard: v.int()}, {Shard: v.int()}}}
+	tick.Shards[0].Round, tick.Shards[1].Round = v.int(), v.int()
+	health := nodeHealth{Name: v.str(), Role: v.str(), MapVersion: v.u64(), Shards: []shardRound{{Shard: v.int()}, {Shard: v.int()}}}
+	health.Shards[0].Round, health.Shards[1].Round = v.int(), v.int()
+	health.Users, health.QueueDepth, health.Errs = v.int(), v.int(), []string{v.str(), v.str()}
+	ack := mapAck{Version: v.u64()}
+	shard := shardReq{Shard: v.int()}
+	frozen := frozenShard{Snap: []byte(v.str()), State: []byte(v.str())}
 	stats := nodeStats{
 		Report: metrics.Report{
 			Users: v.int(), Arrived: v.int(), ClickedTotal: v.int(), Delivered: v.int(), DeliveredBytes: v.i64(),
@@ -475,104 +496,71 @@ func goldenFrames() []goldenFrame {
 	}
 	jreq := joinReq{Name: v.str(), Addr: v.str(), Shards: v.int(), WALDir: v.str()}
 	jresp := joinResp{Status: byte(v.i64()), MapVersion: v.u64(), ErrText: v.str()}
-	pong := v.str()
+	name := pong{Name: v.str()}
 
-	type deliveriesResp struct {
-		owned bool
-		ds    []notif.Delivery
-	}
-	return []goldenFrame{
-		{file: "frame_pong.bin", encode: func(e *wal.Encoder) { e.Str(pong) }},
-		{
-			file:   "frame_publish.bin",
-			encode: func(e *wal.Encoder) { encodePublishReq(e, env.topic, env.user, env.item) },
-			decode: func(d *wal.Decoder) any {
-				topic, user, item := decodePublishReq(d)
-				return envelope{topic: topic, user: user, item: item}
-			},
-			want: env,
-		},
-		{
-			file:   "frame_publish_resp.bin",
-			encode: func(e *wal.Encoder) { encodePublishResp(e, outcome) },
-			decode: func(d *wal.Decoder) any { return decodePublishResp(d) },
-			want:   outcome,
-		},
-		{file: "frame_deliveries.bin", encode: func(e *wal.Encoder) { e.I64(user) }},
-		{
-			file:   "frame_deliveries_resp.bin",
-			encode: func(e *wal.Encoder) { encodeDeliveriesResp(e, true, deliveries) },
-			decode: func(d *wal.Decoder) any {
-				owned, ds := decodeDeliveriesResp(d)
-				return deliveriesResp{owned, ds}
-			},
-			want: deliveriesResp{true, deliveries},
-		},
-		{file: "frame_tick_resp.bin", encode: func(e *wal.Encoder) {
-			e.U32(uint32(len(tickShards)))
-			for i := range tickShards {
-				e.U32(uint32(tickShards[i]))
-				e.I64(int64(tickRounds[i]))
-			}
-		}},
-		{
-			file:   "frame_health_resp.bin",
-			encode: func(e *wal.Encoder) { encodeNodeHealth(e, health) },
-			decode: func(d *wal.Decoder) any { return decodeNodeHealth(d) },
-			want:   health,
-		},
-		{file: "frame_map_ack.bin", encode: func(e *wal.Encoder) { e.U64(mapVersion) }},
-		{file: "frame_freeze.bin", encode: func(e *wal.Encoder) { e.U32(shard) }},
-		{file: "frame_freeze_resp.bin", encode: func(e *wal.Encoder) { e.Str(snap); e.Str(state) }},
-		{file: "frame_adopt_wal.bin", encode: func(e *wal.Encoder) { e.U32(shard); e.U8(adoptFromWAL) }},
-		{file: "frame_adopt_bytes.bin", encode: func(e *wal.Encoder) { e.U32(shard); e.U8(adoptBytes); e.Str(snap) }},
-		{file: "frame_adopt_resp.bin", encode: func(e *wal.Encoder) { e.Str(state) }},
-		{file: "frame_shard_state.bin", encode: func(e *wal.Encoder) { e.U32(shard) }},
-		{file: "frame_shard_state_resp.bin", encode: func(e *wal.Encoder) { e.Str(state) }},
-		{
-			file:   "frame_stats_resp.bin",
-			encode: func(e *wal.Encoder) { encodeNodeStats(e, stats) },
-			decode: func(d *wal.Decoder) any { return decodeNodeStats(d) },
-			want:   stats,
-		},
-		{
-			file:   "frame_join.bin",
-			encode: func(e *wal.Encoder) { encodeJoinReq(e, jreq) },
-			decode: func(d *wal.Decoder) any { return decodeJoinReq(d) },
-			want:   jreq,
-		},
-		{
-			file:   "frame_join_resp.bin",
-			encode: func(e *wal.Encoder) { encodeJoinResp(e, jresp) },
-			decode: func(d *wal.Decoder) any { return decodeJoinResp(d) },
-			want:   jresp,
-		},
+	st := goldenState()
+	u := st.users[0]
+	cfg := goldenConfig("")
+	return []codecCase{
+		caseOf("pong", "frame_pong.bin", pongFields, name),
+		caseOf("publish request", "frame_publish.bin", envelopeFields, env),
+		caseOf("publish response", "frame_publish_resp.bin", publishOutcomeFields, outcome),
+		caseOf("deliveries request", "frame_deliveries.bin", deliveriesReqFields, deliveries),
+		caseOf("deliveries response", "frame_deliveries_resp.bin", deliveriesRespFields, delivered),
+		caseOf("tick response", "frame_tick_resp.bin", tickRespFields, tick),
+		caseOf("health response", "frame_health_resp.bin", nodeHealthFields, health),
+		caseOf("map ack", "frame_map_ack.bin", mapAckFields, ack),
+		caseOf("freeze request", "frame_freeze.bin", shardReqFields, shard),
+		caseOf("freeze response", "frame_freeze_resp.bin", frozenShardFields, frozen),
+		caseOf("adopt request (from WAL)", "frame_adopt_wal.bin", adoptReqFields, adoptReq{Shard: shard.Shard, Mode: adoptFromWAL}),
+		caseOf("adopt request (bytes)", "frame_adopt_bytes.bin", adoptReqFields, adoptReq{Shard: shard.Shard, Mode: adoptBytes, Snap: frozen.Snap}),
+		caseOf("adopt response", "frame_adopt_resp.bin", shardStateRespFields, shardStateResp{State: frozen.State}),
+		caseOf("shard state request", "frame_shard_state.bin", shardReqFields, shard),
+		caseOf("shard state response", "frame_shard_state_resp.bin", shardStateRespFields, shardStateResp{State: frozen.State}),
+		caseOf("stats response", "frame_stats_resp.bin", nodeStatsFields, stats),
+		caseOf("join request", "frame_join.bin", joinReqFields, jreq),
+		caseOf("join response", "frame_join_resp.bin", joinRespFields, jresp),
+
+		caseOf("round record", "", roundFields, st.round),
+		caseOf("snapshot header", "", snapHeaderFields, snapHeader{
+			Magic: snapMagic, Version: snapVersion, Shard: v.int(), Seed: cfg.Seed, Faults: cfg.Faults, LastSeq: st.lastSeq,
+		}),
+		caseOf("snapshot user", "", userStateFields, userState{Cfg: u.cfg, Topics: u.topics, Device: u.device}),
+		caseOf("snapshot inbox", "", userQueueFields, userQueue{User: 12, Items: st.inbox[12]}),
+		caseOf("snapshot broker", "", brokerStateFields, st.broker),
+		caseOf("snapshot collector", "", collectorStateFields, st.collector),
+		caseOf("snapshot feed", "", userFeedFields, userFeed{User: 11, Deliveries: st.feeds[11]}),
 	}
 }
 
-// TestGoldenFrames pins the payload of every cluster frame type. (The map
-// update frame's payload is cluster.Map's encoding, pinned in that
-// package; ping, tick, health and stats requests carry no payload.)
+// TestGoldenFrames pins the payload of every cluster frame type: the
+// golden value encodes to the golden file, the golden file decodes to the
+// golden value, and one byte appended makes it an error. (The map update
+// frame's payload is cluster.Map's encoding, pinned in that package; ping,
+// tick, health and stats requests carry no payload.)
 func TestGoldenFrames(t *testing.T) {
-	for _, f := range goldenFrames() {
-		var e wal.Encoder
-		f.encode(&e)
-		want := golden(t, f.file, e.Bytes())
-		if f.decode == nil {
-			continue
+	for _, c := range codecCases() {
+		enc := c.encode()
+		if c.file != "" {
+			enc = golden(t, c.file, enc)
 		}
-		d := wal.NewDecoder(want)
-		got := f.decode(d)
-		if d.Err() != nil || d.Remaining() != 0 || !reflect.DeepEqual(got, f.want) {
-			t.Errorf("%s decoded to %+v (err %v, %d bytes left), want %+v", f.file, got, d.Err(), d.Remaining(), f.want)
+		got, reenc, err := c.decode(enc)
+		if err != nil || !reflect.DeepEqual(got, c.want) || !bytes.Equal(reenc, enc) {
+			t.Errorf("%s decoded to %+v (err %v), want %+v", c.name, got, err, c.want)
+		}
+		if _, _, err := c.decode(append(enc[:len(enc):len(enc)], 0)); err == nil {
+			t.Errorf("%s decoded cleanly with a trailing byte", c.name)
+		}
+		if len(enc) > 0 {
+			if _, _, err := c.decode(enc[:len(enc)-1]); err == nil {
+				t.Errorf("%s decoded cleanly with its last byte missing", c.name)
+			}
 		}
 	}
 }
 
-// TestGoldenFramesServed cross-checks the goldens whose payloads the
-// parent assembled inline against a live node: the request goldens must
-// be accepted by Node.ServeFrame and the responses it writes must have
-// the golden layout.
+// TestGoldenFramesServed drives the golden requests through a live node:
+// Node.ServeFrame must accept them and answer in the golden layouts.
 func TestGoldenFramesServed(t *testing.T) {
 	s, err := New(goldenConfig(t.TempDir()))
 	if err != nil {
@@ -588,22 +576,26 @@ func TestGoldenFramesServed(t *testing.T) {
 		}
 		return b
 	}
+	var name pong
 	if typ, resp, err := n.ServeFrame(FramePing, nil); err != nil || typ != FramePong {
 		t.Fatalf("ping: type %d, %v", typ, err)
-	} else if d := wal.NewDecoder(resp); d.Str() != "golden-node" || d.Remaining() != 0 {
-		t.Errorf("pong payload % x is not one string", resp)
+	} else if err := wal.Unmarshal(pongFields, resp, "pong", &name); err != nil || name.Name != "golden-node" {
+		t.Errorf("pong decoded to %+v, %v", name, err)
 	}
+	var ds deliveriesResp
 	if typ, resp, err := n.ServeFrame(FrameDeliveries, read("frame_deliveries.bin")); err != nil || typ != FrameDeliveriesResp {
 		t.Fatalf("golden deliveries request: type %d, %v", typ, err)
-	} else if d := wal.NewDecoder(resp); !d.Bool() || d.U32() != 0 || d.Remaining() != 0 {
-		t.Errorf("deliveries response % x is not (owned, 0 deliveries)", resp)
+	} else if err := wal.Unmarshal(deliveriesRespFields, resp, "deliveries response", &ds); err != nil || !ds.Owned || len(ds.Deliveries) != 0 {
+		t.Errorf("deliveries response decoded to %+v, %v; want owned and empty", ds, err)
 	}
 	// The golden shard id is far outside this one-shard server, so the
 	// shard requests must decode cleanly and fail on range, not on format.
-	for _, name := range []string{"frame_freeze.bin", "frame_adopt_wal.bin", "frame_adopt_bytes.bin", "frame_shard_state.bin"} {
-		typ := map[string]byte{"frame_freeze.bin": FrameFreeze, "frame_adopt_wal.bin": FrameAdopt, "frame_adopt_bytes.bin": FrameAdopt, "frame_shard_state.bin": FrameShardState}[name]
+	for name, typ := range map[string]byte{
+		"frame_freeze.bin": FrameFreeze, "frame_adopt_wal.bin": FrameAdopt,
+		"frame_adopt_bytes.bin": FrameAdopt, "frame_shard_state.bin": FrameShardState,
+	} {
 		_, _, err := n.ServeFrame(typ, read(name))
-		if err == nil || !bytes.Contains([]byte(err.Error()), []byte("out of range")) {
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("%s: served with %v, want a shard-out-of-range error", name, err)
 		}
 	}

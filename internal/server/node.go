@@ -8,7 +8,6 @@ import (
 
 	"github.com/richnote/richnote/internal/cluster"
 	"github.com/richnote/richnote/internal/metrics"
-	"github.com/richnote/richnote/internal/notif"
 	"github.com/richnote/richnote/internal/transport"
 	"github.com/richnote/richnote/internal/wal"
 )
@@ -112,25 +111,18 @@ func (n *Node) announceLoop(routerAddr string, every time.Duration) {
 // Call: the loop's own cadence is the retry policy, and doubling dials
 // against a down router helps nobody.
 func (n *Node) announceOnce(c *transport.Client) {
-	var e wal.Encoder
-	encodeJoinReq(&e, joinReq{
+	req := joinReq{
 		Name:   n.name,
 		Addr:   n.Addr(),
 		Shards: n.srv.Shards(),
 		WALDir: n.srv.cfg.WALDir,
-	})
-	_, resp, err := c.CallOnce(FrameJoin, e.Bytes())
-	if err != nil {
-		n.joined.Store(false)
-		return
 	}
-	d := wal.NewDecoder(resp)
-	jr := decodeJoinResp(d)
-	if decodeErr(d, "join response") != nil {
-		n.joined.Store(false)
-		return
+	_, resp, err := c.CallOnce(FrameJoin, wal.Marshal(joinReqFields, &req))
+	var jr joinResp
+	if err == nil {
+		err = wal.Unmarshal(joinRespFields, resp, "join response", &jr)
 	}
-	n.joined.Store(jr.Status == joinAccepted || jr.Status == joinAlreadyMember)
+	n.joined.Store(err == nil && (jr.Status == joinAccepted || jr.Status == joinAlreadyMember))
 }
 
 // Close stops the announce loop and the transport listener. The wrapped
@@ -159,20 +151,21 @@ func (n *Node) ServeFrame(typ byte, payload []byte) (byte, []byte, error) {
 	//lint:allow wallclock RPC deadlines bound real I/O and replay work, not scheduling time
 	ctx, cancel := context.WithTimeout(context.Background(), frameTimeout)
 	defer cancel()
-	var e wal.Encoder
 	switch typ {
 	case FramePing:
-		e.Str(n.name)
-		return FramePong, e.Bytes(), nil
+		return FramePong, wal.Marshal(pongFields, &pong{Name: n.name}), nil
 
 	case FramePublish:
-		d := wal.NewDecoder(payload)
-		topic, user, item := decodePublishReq(d)
-		if err := decodeErr(d, "publish request"); err != nil {
+		// Per-publish path: the description is called directly, not through
+		// wal.Unmarshal's func value, so env stays on the stack.
+		var env envelope
+		c := wal.DecodeFrom(payload)
+		envelopeFields(&c, &env)
+		if err := c.Finish("publish request"); err != nil {
 			return 0, nil, err
 		}
 		out := publishOutcome{status: publishAccepted, mapVer: n.srv.MapVersion()}
-		switch err := n.srv.Publish(topic, user, item); {
+		switch err := n.srv.Publish(env.topic, env.user, env.item); {
 		case err == nil:
 		case err == ErrBackpressure:
 			out.status = publishBackpressure
@@ -183,38 +176,32 @@ func (n *Node) ServeFrame(typ byte, payload []byte) (byte, []byte, error) {
 			out.status = publishError
 			out.errText = err.Error()
 		}
-		encodePublishResp(&e, out)
-		return FramePublishResp, e.Bytes(), nil
+		return FramePublishResp, wal.Marshal(publishOutcomeFields, &out), nil
 
 	case FrameDeliveries:
-		d := wal.NewDecoder(payload)
-		user := notif.UserID(d.I64())
-		if err := decodeErr(d, "deliveries request"); err != nil {
+		var req deliveriesReq
+		if err := wal.Unmarshal(deliveriesReqFields, payload, "deliveries request", &req); err != nil {
 			return 0, nil, err
 		}
-		owned := n.srv.Owns(n.srv.ShardFor(user))
-		var ds []notif.Delivery
-		if owned {
-			ds = n.srv.Deliveries(user)
+		resp := deliveriesResp{Owned: n.srv.Owns(n.srv.ShardFor(req.User))}
+		if resp.Owned {
+			resp.Deliveries = n.srv.Deliveries(req.User)
 		}
-		encodeDeliveriesResp(&e, owned, ds)
-		return FrameDeliveriesResp, e.Bytes(), nil
+		return FrameDeliveriesResp, wal.Marshal(deliveriesRespFields, &resp), nil
 
 	case FrameTick:
 		if err := n.srv.Tick(ctx); err != nil {
 			return 0, nil, err
 		}
-		snaps := n.srv.Snapshots()
-		e.U32(uint32(len(snaps)))
-		for _, sn := range snaps {
-			e.U32(uint32(sn.Shard))
-			e.I64(int64(sn.Round))
+		var resp tickResp
+		for _, sn := range n.srv.Snapshots() {
+			resp.Shards = append(resp.Shards, shardRound{Shard: sn.Shard, Round: sn.Round})
 		}
-		return FrameTickResp, e.Bytes(), nil
+		return FrameTickResp, wal.Marshal(tickRespFields, &resp), nil
 
 	case FrameHealth:
-		encodeNodeHealth(&e, n.health())
-		return FrameHealthResp, e.Bytes(), nil
+		h := n.health()
+		return FrameHealthResp, wal.Marshal(nodeHealthFields, &h), nil
 
 	case FrameMapUpdate:
 		m, err := cluster.Decode(payload)
@@ -225,71 +212,56 @@ func (n *Node) ServeFrame(typ byte, payload []byte) (byte, []byte, error) {
 			return 0, nil, fmt.Errorf("server: node %s: map has %d shards, this node runs %d", n.name, m.Shards, n.srv.Shards())
 		}
 		n.srv.SetMapVersion(m.Version)
-		e.U64(m.Version)
-		return FrameMapAck, e.Bytes(), nil
+		return FrameMapAck, wal.Marshal(mapAckFields, &mapAck{Version: m.Version}), nil
 
 	case FrameFreeze:
-		d := wal.NewDecoder(payload)
-		id := int(d.U32())
-		if err := decodeErr(d, "freeze request"); err != nil {
+		var req shardReq
+		if err := wal.Unmarshal(shardReqFields, payload, "freeze request", &req); err != nil {
 			return 0, nil, err
 		}
-		snap, state, err := n.srv.FreezeShard(id)
+		snap, state, err := n.srv.FreezeShard(req.Shard)
 		if err != nil {
 			return 0, nil, err
 		}
-		e.Str(string(snap))
-		e.Str(string(state))
-		return FrameFreezeResp, e.Bytes(), nil
+		return FrameFreezeResp, wal.Marshal(frozenShardFields, &frozenShard{Snap: snap, State: state}), nil
 
 	case FrameAdopt:
-		d := wal.NewDecoder(payload)
-		id := int(d.U32())
-		mode := d.U8()
-		var snap string
-		if mode == adoptBytes {
-			snap = d.Str()
-		}
-		if err := decodeErr(d, "adopt request"); err != nil {
+		var req adoptReq
+		if err := wal.Unmarshal(adoptReqFields, payload, "adopt request", &req); err != nil {
 			return 0, nil, err
 		}
 		var err error
-		switch mode {
+		switch req.Mode {
 		case adoptFromWAL:
 			// Idempotent: a restarted coordinator re-commands the whole
 			// assignment; shards this node already owns are a no-op.
-			if id >= 0 && id < n.srv.Shards() && n.srv.Owns(id) {
-				err = nil
-			} else {
-				err = n.srv.AdoptShardFromWAL(id)
+			if !n.srv.Owns(req.Shard) {
+				err = n.srv.AdoptShardFromWAL(req.Shard)
 			}
 		case adoptBytes:
-			err = n.srv.AdoptShardBytes(id, []byte(snap))
+			err = n.srv.AdoptShardBytes(req.Shard, req.Snap)
 		default:
-			err = fmt.Errorf("server: node %s: unknown adopt mode %d", n.name, mode)
+			err = fmt.Errorf("server: node %s: unknown adopt mode %d", n.name, req.Mode)
 		}
 		if err != nil {
 			return 0, nil, err
 		}
-		e.Str(string(n.srv.AdoptedState(id)))
-		return FrameAdoptResp, e.Bytes(), nil
+		return FrameAdoptResp, wal.Marshal(shardStateRespFields, &shardStateResp{State: n.srv.AdoptedState(req.Shard)}), nil
 
 	case FrameShardState:
-		d := wal.NewDecoder(payload)
-		id := int(d.U32())
-		if err := decodeErr(d, "shard state request"); err != nil {
+		var req shardReq
+		if err := wal.Unmarshal(shardReqFields, payload, "shard state request", &req); err != nil {
 			return 0, nil, err
 		}
-		state, err := n.srv.ShardState(ctx, id)
+		state, err := n.srv.ShardState(ctx, req.Shard)
 		if err != nil {
 			return 0, nil, err
 		}
-		e.Str(string(state))
-		return FrameShardStateResp, e.Bytes(), nil
+		return FrameShardStateResp, wal.Marshal(shardStateRespFields, &shardStateResp{State: state}), nil
 
 	case FrameStats:
-		encodeNodeStats(&e, n.stats())
-		return FrameStatsResp, e.Bytes(), nil
+		st := n.stats()
+		return FrameStatsResp, wal.Marshal(nodeStatsFields, &st), nil
 
 	default:
 		return 0, nil, fmt.Errorf("server: node %s: unknown frame type %d", n.name, typ)
@@ -304,8 +276,7 @@ func (n *Node) health() nodeHealth {
 		MapVersion: n.srv.MapVersion(),
 	}
 	for _, sn := range n.srv.Snapshots() {
-		h.OwnedShards = append(h.OwnedShards, sn.Shard)
-		h.Rounds = append(h.Rounds, sn.Round)
+		h.Shards = append(h.Shards, shardRound{Shard: sn.Shard, Round: sn.Round})
 		h.Users += sn.Users
 		h.QueueDepth += sn.QueueDepth
 		if sn.Err != "" {

@@ -1,19 +1,20 @@
 package server
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/richnote/richnote/internal/metrics"
 	"github.com/richnote/richnote/internal/notif"
-	"github.com/richnote/richnote/internal/pubsub"
 	"github.com/richnote/richnote/internal/wal"
 )
 
 // The cluster RPC set carried over internal/transport frames (DESIGN.md
-// §13). Requests are even-numbered responses minus one; payloads use the
-// internal/wal codec like every other persistent byte string in the
-// system. The transport reserves 0xFF for handler errors.
+// §13). Requests are even-numbered responses minus one. Every payload is a
+// named type below (or in walstate.go, for the ones shared with the log)
+// whose bytes are defined by its one Fields function; ping, tick, health
+// and stats requests carry no payload, and a map update carries
+// cluster.Map's own encoding. The transport reserves 0xFF for handler
+// errors.
 const (
 	FramePing           byte = 1
 	FramePong           byte = 2
@@ -60,6 +61,124 @@ const (
 	joinRejected      byte = 2 // validation failed; ErrText says why
 )
 
+// pong answers a ping with the responder's name (FramePong).
+type pong struct{ Name string }
+
+func pongFields(c *wal.Codec, p *pong) { c.Str(&p.Name) }
+
+// publishOutcome is the FramePublishResp payload. (The FramePublish
+// request is an envelope — the same bytes the shard then logs.)
+type publishOutcome struct {
+	status     byte
+	retryAfter int // seconds, meaningful for backpressure
+	mapVer     uint64
+	errText    string
+}
+
+func publishOutcomeFields(c *wal.Codec, o *publishOutcome) {
+	c.U8(&o.status)
+	c.IntU32(&o.retryAfter)
+	c.U64(&o.mapVer)
+	c.Str(&o.errText)
+}
+
+// deliveriesReq asks for one user's recent deliveries (FrameDeliveries).
+type deliveriesReq struct{ User notif.UserID }
+
+func deliveriesReqFields(c *wal.Codec, q *deliveriesReq) { wal.Int(c, &q.User) }
+
+// deliveriesResp is the FrameDeliveriesResp payload; Owned is false when
+// the node no longer serves the user's shard.
+type deliveriesResp struct {
+	Owned      bool
+	Deliveries []notif.Delivery
+}
+
+func deliveriesRespFields(c *wal.Codec, r *deliveriesResp) {
+	c.Bool(&r.Owned)
+	wal.Slice(c, &r.Deliveries, 80, "deliveries", deliveryFields)
+}
+
+// shardRound reports one owned shard's completed-round count.
+type shardRound struct{ Shard, Round int }
+
+func shardRoundFields(c *wal.Codec, s *shardRound) {
+	c.IntU32(&s.Shard)
+	wal.Int(c, &s.Round)
+}
+
+// tickResp is the FrameTickResp payload: where every owned shard stands
+// after the tick.
+type tickResp struct{ Shards []shardRound }
+
+func tickRespFields(c *wal.Codec, t *tickResp) {
+	wal.Slice(c, &t.Shards, 12, "tick rounds", shardRoundFields)
+}
+
+// nodeHealth is one node's health report (FrameHealthResp).
+type nodeHealth struct {
+	Name       string
+	Role       string
+	MapVersion uint64
+	Shards     []shardRound // the owned shards
+	Users      int
+	QueueDepth int
+	Errs       []string
+}
+
+func nodeHealthFields(c *wal.Codec, h *nodeHealth) {
+	c.Str(&h.Name)
+	c.Str(&h.Role)
+	c.U64(&h.MapVersion)
+	wal.Slice(c, &h.Shards, 12, "owned shards", shardRoundFields)
+	c.IntU32(&h.Users)
+	c.IntU32(&h.QueueDepth)
+	wal.Slice(c, &h.Errs, 4, "health errors", (*wal.Codec).Str)
+}
+
+// mapAck acknowledges a map update with the version now in force
+// (FrameMapAck).
+type mapAck struct{ Version uint64 }
+
+func mapAckFields(c *wal.Codec, a *mapAck) { c.U64(&a.Version) }
+
+// shardReq names the shard a FrameFreeze or FrameShardState acts on.
+type shardReq struct{ Shard int }
+
+func shardReqFields(c *wal.Codec, q *shardReq) { c.IntU32(&q.Shard) }
+
+// frozenShard is the FrameFreezeResp payload: the final compacted
+// snapshot file (what ships to the adopting node) and the canonical state
+// bytes at freeze (what the adopter's restored state must equal).
+type frozenShard struct{ Snap, State []byte }
+
+func frozenShardFields(c *wal.Codec, f *frozenShard) {
+	c.Blob(&f.Snap)
+	c.Blob(&f.State)
+}
+
+// adoptReq commands a node to take a shard over (FrameAdopt). Snap rides
+// only in adoptBytes mode.
+type adoptReq struct {
+	Shard int
+	Mode  byte
+	Snap  []byte
+}
+
+func adoptReqFields(c *wal.Codec, q *adoptReq) {
+	c.IntU32(&q.Shard)
+	c.U8(&q.Mode)
+	if q.Mode == adoptBytes {
+		c.Blob(&q.Snap)
+	}
+}
+
+// shardStateResp carries a shard's canonical state bytes
+// (FrameAdoptResp, FrameShardStateResp).
+type shardStateResp struct{ State []byte }
+
+func shardStateRespFields(c *wal.Codec, r *shardStateResp) { c.Blob(&r.State) }
+
 // joinReq is a node's announce payload (DESIGN.md §15): its identity, the
 // transport address it serves, and the agreement checks the coordinator
 // validates before admitting it.
@@ -70,20 +189,11 @@ type joinReq struct {
 	WALDir string
 }
 
-func encodeJoinReq(e *wal.Encoder, j joinReq) {
-	e.Str(j.Name)
-	e.Str(j.Addr)
-	e.U32(uint32(j.Shards))
-	e.Str(j.WALDir)
-}
-
-func decodeJoinReq(d *wal.Decoder) joinReq {
-	return joinReq{
-		Name:   d.Str(),
-		Addr:   d.Str(),
-		Shards: int(d.U32()),
-		WALDir: d.Str(),
-	}
+func joinReqFields(c *wal.Codec, j *joinReq) {
+	c.Str(&j.Name)
+	c.Str(&j.Addr)
+	c.IntU32(&j.Shards)
+	c.Str(&j.WALDir)
 }
 
 // joinResp is the coordinator's verdict on an announce.
@@ -93,204 +203,10 @@ type joinResp struct {
 	ErrText    string
 }
 
-func encodeJoinResp(e *wal.Encoder, j joinResp) {
-	e.U8(j.Status)
-	e.U64(j.MapVersion)
-	e.Str(j.ErrText)
-}
-
-func decodeJoinResp(d *wal.Decoder) joinResp {
-	return joinResp{
-		Status:     d.U8(),
-		MapVersion: d.U64(),
-		ErrText:    d.Str(),
-	}
-}
-
-func encodePublishReq(e *wal.Encoder, topic pubsub.TopicID, user notif.UserID, item notif.Item) {
-	e.I64(int64(topic.Kind))
-	e.I64(topic.Entity)
-	e.I64(int64(user))
-	encodeItem(e, item)
-}
-
-func decodePublishReq(d *wal.Decoder) (pubsub.TopicID, notif.UserID, notif.Item) {
-	topic := pubsub.TopicID{Kind: notif.TopicKind(d.I64()), Entity: d.I64()}
-	user := notif.UserID(d.I64())
-	return topic, user, decodeItem(d)
-}
-
-// publishOutcome is the decoded FramePublishResp.
-type publishOutcome struct {
-	status     byte
-	retryAfter int // seconds, meaningful for backpressure
-	mapVer     uint64
-	errText    string
-}
-
-func encodePublishResp(e *wal.Encoder, o publishOutcome) {
-	e.U8(o.status)
-	e.U32(uint32(o.retryAfter))
-	e.U64(o.mapVer)
-	e.Str(o.errText)
-}
-
-func decodePublishResp(d *wal.Decoder) publishOutcome {
-	return publishOutcome{
-		status:     d.U8(),
-		retryAfter: int(d.U32()),
-		mapVer:     d.U64(),
-		errText:    d.Str(),
-	}
-}
-
-func encodeDeliveriesResp(e *wal.Encoder, owned bool, ds []notif.Delivery) {
-	e.Bool(owned)
-	e.U32(uint32(len(ds)))
-	for i := range ds {
-		encodeDelivery(e, &ds[i])
-	}
-}
-
-func decodeDeliveriesResp(d *wal.Decoder) (bool, []notif.Delivery) {
-	owned := d.Bool()
-	n := d.Count(80, "deliveries")
-	ds := make([]notif.Delivery, 0, n)
-	for i := 0; i < n; i++ {
-		ds = append(ds, decodeDelivery(d))
-	}
-	return owned, ds
-}
-
-// nodeHealth is the wire form of one node's health report.
-type nodeHealth struct {
-	Name        string
-	Role        string
-	MapVersion  uint64
-	OwnedShards []int
-	Rounds      []int // parallel to OwnedShards
-	Users       int
-	QueueDepth  int
-	Errs        []string
-}
-
-func encodeNodeHealth(e *wal.Encoder, h nodeHealth) {
-	e.Str(h.Name)
-	e.Str(h.Role)
-	e.U64(h.MapVersion)
-	e.U32(uint32(len(h.OwnedShards)))
-	for i, s := range h.OwnedShards {
-		e.U32(uint32(s))
-		e.I64(int64(h.Rounds[i]))
-	}
-	e.U32(uint32(h.Users))
-	e.U32(uint32(h.QueueDepth))
-	e.U32(uint32(len(h.Errs)))
-	for _, s := range h.Errs {
-		e.Str(s)
-	}
-}
-
-func decodeNodeHealth(d *wal.Decoder) nodeHealth {
-	h := nodeHealth{
-		Name:       d.Str(),
-		Role:       d.Str(),
-		MapVersion: d.U64(),
-	}
-	n := d.Count(12, "owned shards")
-	for i := 0; i < n; i++ {
-		h.OwnedShards = append(h.OwnedShards, int(d.U32()))
-		h.Rounds = append(h.Rounds, int(d.I64()))
-	}
-	h.Users = int(d.U32())
-	h.QueueDepth = int(d.U32())
-	ne := d.Count(4, "health errors")
-	for i := 0; i < ne; i++ {
-		h.Errs = append(h.Errs, d.Str())
-	}
-	return h
-}
-
-// encodeReport serializes a metrics.Report with LevelCounts in ascending
-// level order, so identical reports encode identically.
-func encodeReport(e *wal.Encoder, r metrics.Report) {
-	e.I64(int64(r.Users))
-	e.I64(int64(r.Arrived))
-	e.I64(int64(r.ClickedTotal))
-	e.I64(int64(r.Delivered))
-	e.I64(r.DeliveredBytes)
-	e.F64(r.UtilitySum)
-	e.F64(r.TrueUtilitySum)
-	e.I64(int64(r.ClickedAndDelivered))
-	e.I64(int64(r.DeliveredBeforeClick))
-	e.F64(r.EnergyJ)
-	e.I64(int64(r.DelayRoundsSum))
-	levels := make([]int, 0, len(r.LevelCounts))
-	for lvl := range r.LevelCounts {
-		levels = append(levels, lvl)
-	}
-	sort.Ints(levels)
-	e.U32(uint32(len(levels)))
-	for _, lvl := range levels {
-		e.I64(int64(lvl))
-		e.I64(int64(r.LevelCounts[lvl]))
-	}
-	e.I64(int64(r.TransferFailures))
-	e.I64(int64(r.RetriedDeliveries))
-	e.I64(int64(r.DegradedDeliveries))
-	e.I64(int64(r.Dropped))
-	e.F64(r.WastedEnergyJ)
-	e.F64(r.DelayP50Rounds)
-	e.F64(r.DelayP95Rounds)
-}
-
-func decodeReport(d *wal.Decoder) metrics.Report {
-	r := metrics.Report{
-		Users:                int(d.I64()),
-		Arrived:              int(d.I64()),
-		ClickedTotal:         int(d.I64()),
-		Delivered:            int(d.I64()),
-		DeliveredBytes:       d.I64(),
-		UtilitySum:           d.F64(),
-		TrueUtilitySum:       d.F64(),
-		ClickedAndDelivered:  int(d.I64()),
-		DeliveredBeforeClick: int(d.I64()),
-		EnergyJ:              d.F64(),
-		DelayRoundsSum:       int(d.I64()),
-	}
-	n := d.Count(16, "level counts")
-	if n > 0 {
-		r.LevelCounts = make(map[int]int, n)
-	}
-	for i := 0; i < n; i++ {
-		lvl := int(d.I64())
-		r.LevelCounts[lvl] = int(d.I64())
-	}
-	r.TransferFailures = int(d.I64())
-	r.RetriedDeliveries = int(d.I64())
-	r.DegradedDeliveries = int(d.I64())
-	r.Dropped = int(d.I64())
-	r.WastedEnergyJ = d.F64()
-	r.DelayP50Rounds = d.F64()
-	r.DelayP95Rounds = d.F64()
-	return r
-}
-
-func encodeBuckets(e *wal.Encoder, bs []metrics.Bucket) {
-	e.U32(uint32(len(bs)))
-	for _, b := range bs {
-		e.F64(b.UpperBound)
-		e.U64(b.Count)
-	}
-}
-
-func decodeBuckets(d *wal.Decoder) []metrics.Bucket {
-	n := d.Count(16, "buckets")
-	bs := make([]metrics.Bucket, 0, n)
-	for i := 0; i < n; i++ {
-		bs = append(bs, metrics.Bucket{UpperBound: d.F64(), Count: d.U64()})
-	}
-	return bs
+func joinRespFields(c *wal.Codec, j *joinResp) {
+	c.U8(&j.Status)
+	c.U64(&j.MapVersion)
+	c.Str(&j.ErrText)
 }
 
 // nodeStats is the wire form of one node's FrameStatsResp: the merged
@@ -303,27 +219,48 @@ type nodeStats struct {
 	Dropped       uint64
 }
 
-func encodeNodeStats(e *wal.Encoder, s nodeStats) {
-	encodeReport(e, s.Report)
-	encodeBuckets(e, s.DelayBuckets)
-	e.U64(s.Backpressured)
-	e.U64(s.Dropped)
+func nodeStatsFields(c *wal.Codec, s *nodeStats) {
+	reportFields(c, &s.Report)
+	wal.Slice(c, &s.DelayBuckets, 16, "buckets", func(c *wal.Codec, b *metrics.Bucket) {
+		c.F64(&b.UpperBound)
+		c.U64(&b.Count)
+	})
+	c.U64(&s.Backpressured)
+	c.U64(&s.Dropped)
 }
 
-func decodeNodeStats(d *wal.Decoder) nodeStats {
-	return nodeStats{
-		Report:        decodeReport(d),
-		DelayBuckets:  decodeBuckets(d),
-		Backpressured: d.U64(),
-		Dropped:       d.U64(),
+// reportFields describes a metrics.Report. LevelCounts rides as
+// (level, count) pairs in ascending level order, so identical reports
+// encode identically.
+func reportFields(c *wal.Codec, r *metrics.Report) {
+	wal.Int(c, &r.Users)
+	wal.Int(c, &r.Arrived)
+	wal.Int(c, &r.ClickedTotal)
+	wal.Int(c, &r.Delivered)
+	c.I64(&r.DeliveredBytes)
+	c.F64(&r.UtilitySum)
+	c.F64(&r.TrueUtilitySum)
+	wal.Int(c, &r.ClickedAndDelivered)
+	wal.Int(c, &r.DeliveredBeforeClick)
+	c.F64(&r.EnergyJ)
+	wal.Int(c, &r.DelayRoundsSum)
+	levels := make([]metrics.LevelCount, 0, len(r.LevelCounts))
+	for lvl, n := range r.LevelCounts {
+		levels = append(levels, metrics.LevelCount{Level: lvl, Count: n})
 	}
-}
-
-// decodeErr finishes a decode, converting a latched decoder error into a
-// labeled error value.
-func decodeErr(d *wal.Decoder, what string) error {
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("server: decoding %s: %w", what, err)
+	sort.Slice(levels, func(i, j int) bool { return levels[i].Level < levels[j].Level })
+	wal.Slice(c, &levels, 16, "level counts", levelCountFields)
+	if c.Decoding() && len(levels) > 0 {
+		r.LevelCounts = make(map[int]int, len(levels))
+		for _, lc := range levels {
+			r.LevelCounts[lc.Level] = lc.Count
+		}
 	}
-	return nil
+	wal.Int(c, &r.TransferFailures)
+	wal.Int(c, &r.RetriedDeliveries)
+	wal.Int(c, &r.DegradedDeliveries)
+	wal.Int(c, &r.Dropped)
+	c.F64(&r.WastedEnergyJ)
+	c.F64(&r.DelayP50Rounds)
+	c.F64(&r.DelayP95Rounds)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -325,14 +326,13 @@ func (r *Router) initialMap() (*cluster.Map, error) {
 			r.setUp(p.Name, false)
 			continue
 		}
-		d := wal.NewDecoder(raw)
-		h := decodeNodeHealth(d)
-		if decodeErr(d, "health response") != nil {
+		var h nodeHealth
+		if wal.Unmarshal(nodeHealthFields, raw, "health response", &h) != nil {
 			continue
 		}
 		reachable = append(reachable, p)
 		reports = append(reports, report{node: p, h: h})
-		if len(h.OwnedShards) > 0 {
+		if len(h.Shards) > 0 {
 			anyOwned = true
 		}
 	}
@@ -365,16 +365,14 @@ func (r *Router) initialMap() (*cluster.Map, error) {
 		if rep.h.MapVersion > version {
 			version = rep.h.MapVersion
 		}
-		for i, s := range rep.h.OwnedShards {
-			if s < 0 || s >= r.shards {
+		for _, sr := range rep.h.Shards {
+			if sr.Shard >= r.shards {
 				continue
 			}
-			if owners[s] == "" {
-				owners[s] = rep.node.Name
+			if owners[sr.Shard] == "" {
+				owners[sr.Shard] = rep.node.Name
 			}
-			if i < len(rep.h.Rounds) {
-				r.lastRounds[s].Store(int64(rep.h.Rounds[i]))
-			}
+			r.lastRounds[sr.Shard].Store(int64(sr.Round))
 		}
 	}
 	// Shards nobody reported stay honestly unassigned, queued for adopt
@@ -597,11 +595,22 @@ func (r *Router) commandAdopt(node string, shard int) error {
 	if c == nil {
 		return fmt.Errorf("server: no client for node %q", node)
 	}
-	var e wal.Encoder
-	e.U32(uint32(shard))
-	e.U8(adoptFromWAL)
-	_, _, err := c.Call(FrameAdopt, e.Bytes())
+	_, err := callAdopt(c, adoptReq{Shard: shard, Mode: adoptFromWAL})
 	return err
+}
+
+// callAdopt sends one FrameAdopt and returns the canonical state bytes the
+// node restored to.
+func callAdopt(c *transport.Client, req adoptReq) ([]byte, error) {
+	_, raw, err := c.Call(FrameAdopt, wal.Marshal(adoptReqFields, &req))
+	if err != nil {
+		return nil, err
+	}
+	var resp shardStateResp
+	if err := wal.Unmarshal(shardStateRespFields, raw, "adopt response", &resp); err != nil {
+		return nil, err
+	}
+	return resp.State, nil
 }
 
 // broadcastMap ships a map to every reachable node. A node that misses the
@@ -661,45 +670,32 @@ func (r *Router) moveShardLocked(shard int, target string) error {
 		return err
 	}
 
-	var e wal.Encoder
-	e.U32(uint32(shard))
-	_, resp, err := r.client(src.Name).Call(FrameFreeze, e.Bytes())
+	freeze := wal.Marshal(shardReqFields, &shardReq{Shard: shard})
+	_, resp, err := r.client(src.Name).Call(FrameFreeze, freeze)
 	if err != nil {
 		// Nothing shipped; the source either still serves the shard or
 		// rejected the freeze. The map is untouched either way.
 		return fmt.Errorf("server: freezing shard %d on %s: %w", shard, src.Name, err)
 	}
-	d := wal.NewDecoder(resp)
-	snap, frozenState := d.Str(), d.Str()
-	if err := decodeErr(d, "freeze response"); err != nil {
+	var frozen frozenShard
+	if err := wal.Unmarshal(frozenShardFields, resp, "freeze response", &frozen); err != nil {
 		// The node replied non-error, so it did freeze; only the reply is
 		// garbled. Roll back with whatever decoded — a corrupt snapshot
 		// fails the source's CRC check and degrades to the unassigned +
 		// retry path, which restores from the source's on-disk state.
-		return r.failedMove(shard, src.Name, snap, err)
+		return r.failedMove(shard, src.Name, frozen.Snap, err)
 	}
 
-	e.Reset()
-	e.U32(uint32(shard))
-	e.U8(adoptBytes)
-	e.Str(snap)
-	_, resp, err = targetClient.Call(FrameAdopt, e.Bytes())
+	adoptedState, err := callAdopt(targetClient, adoptReq{Shard: shard, Mode: adoptBytes, Snap: frozen.Snap})
 	if err != nil {
-		return r.failedMove(shard, src.Name, snap, fmt.Errorf("server: adopting shard %d on %s: %w", shard, target, err))
+		return r.failedMove(shard, src.Name, frozen.Snap, fmt.Errorf("server: adopting shard %d on %s: %w", shard, target, err))
 	}
-	d = wal.NewDecoder(resp)
-	adoptedState := d.Str()
-	if err := decodeErr(d, "adopt response"); err != nil {
-		return r.failedMove(shard, src.Name, snap, err)
-	}
-	if adoptedState != frozenState {
+	if !bytes.Equal(adoptedState, frozen.State) {
 		// Never publish ownership of state that is not bit-identical.
 		// Freeze the target's divergent copy back out of service, then
 		// restore the source.
-		var fe wal.Encoder
-		fe.U32(uint32(shard))
-		_, _, _ = targetClient.Call(FrameFreeze, fe.Bytes())
-		return r.failedMove(shard, src.Name, snap, fmt.Errorf("server: shard %d handoff state mismatch: source froze %d bytes, target restored %d bytes (not bit-identical)", shard, len(frozenState), len(adoptedState)))
+		_, _, _ = targetClient.Call(FrameFreeze, freeze)
+		return r.failedMove(shard, src.Name, frozen.Snap, fmt.Errorf("server: shard %d handoff state mismatch: source froze %d bytes, target restored %d bytes (not bit-identical)", shard, len(frozen.State), len(adoptedState)))
 	}
 
 	r.broadcastMap(next)
@@ -713,18 +709,10 @@ func (r *Router) moveShardLocked(shard int, target string) error {
 // keeps serving and the map needs no change. If the rollback itself
 // fails, the shard is recorded unassigned — the honest state — and
 // queued for adopt retry from the source's WAL dir.
-func (r *Router) failedMove(shard int, src, snap string, cause error) error {
-	var e wal.Encoder
-	e.U32(uint32(shard))
-	e.U8(adoptBytes)
-	e.Str(snap)
+func (r *Router) failedMove(shard int, src string, snap []byte, cause error) error {
 	if c := r.client(src); c != nil {
-		if _, resp, err := c.Call(FrameAdopt, e.Bytes()); err == nil {
-			d := wal.NewDecoder(resp)
-			d.Str()
-			if decodeErr(d, "rollback adopt response") == nil {
-				return fmt.Errorf("server: shard %d move failed, rolled back to %s: %w", shard, src, cause)
-			}
+		if _, err := callAdopt(c, adoptReq{Shard: shard, Mode: adoptBytes, Snap: snap}); err == nil {
+			return fmt.Errorf("server: shard %d move failed, rolled back to %s: %w", shard, src, cause)
 		}
 	}
 	m := r.cmap.Load()
@@ -742,19 +730,16 @@ func (r *Router) failedMove(shard int, src, snap string, cause error) error {
 // listener, serving node join announces (plus ping, so joiners can
 // health-check the coordinator before announcing).
 func (r *Router) ServeFrame(typ byte, payload []byte) (byte, []byte, error) {
-	var e wal.Encoder
 	switch typ {
 	case FramePing:
-		e.Str("router")
-		return FramePong, e.Bytes(), nil
+		return FramePong, wal.Marshal(pongFields, &pong{Name: "router"}), nil
 	case FrameJoin:
-		d := wal.NewDecoder(payload)
-		jr := decodeJoinReq(d)
-		if err := decodeErr(d, "join request"); err != nil {
+		var jr joinReq
+		if err := wal.Unmarshal(joinReqFields, payload, "join request", &jr); err != nil {
 			return 0, nil, err
 		}
-		encodeJoinResp(&e, r.handleJoin(jr))
-		return FrameJoinResp, e.Bytes(), nil
+		resp := r.handleJoin(jr)
+		return FrameJoinResp, wal.Marshal(joinRespFields, &resp), nil
 	default:
 		return 0, nil, fmt.Errorf("server: router: unknown frame type %d", typ)
 	}
@@ -810,14 +795,14 @@ func (r *Router) handleJoin(jr joinReq) joinResp {
 	// ping as the name it claims, or the map would route shard traffic
 	// into a black hole.
 	probe := transport.NewClient(jr.Addr, r.cfg.Client)
-	_, pong, err := probe.Call(FramePing, nil)
+	_, raw, err := probe.Call(FramePing, nil)
 	probe.Close()
 	if err != nil {
 		return reject("joiner %q unreachable at %s: %v", jr.Name, jr.Addr, err)
 	}
-	pd := wal.NewDecoder(pong)
-	if got := pd.Str(); pd.Err() != nil || got != jr.Name {
-		return reject("address %s answered ping as %q, not %q", jr.Addr, got, jr.Name)
+	var got pong
+	if wal.Unmarshal(pongFields, raw, "pong", &got) != nil || got.Name != jr.Name {
+		return reject("address %s answered ping as %q, not %q", jr.Addr, got.Name, jr.Name)
 	}
 
 	n := cluster.Node{Name: jr.Name, Addr: jr.Addr}
@@ -843,9 +828,8 @@ func (r *Router) foldReportedOwnership(name string) {
 	if err != nil {
 		return
 	}
-	d := wal.NewDecoder(raw)
-	h := decodeNodeHealth(d)
-	if decodeErr(d, "health response") != nil || len(h.OwnedShards) == 0 {
+	var h nodeHealth
+	if wal.Unmarshal(nodeHealthFields, raw, "health response", &h) != nil || len(h.Shards) == 0 {
 		return
 	}
 
@@ -857,16 +841,14 @@ func (r *Router) foldReportedOwnership(name string) {
 	}
 	owners := m.OwnerNames()
 	changed := false
-	for i, s := range h.OwnedShards {
-		if s < 0 || s >= r.shards || owners[s] != "" {
+	for _, sr := range h.Shards {
+		if sr.Shard >= r.shards || owners[sr.Shard] != "" {
 			continue
 		}
-		owners[s] = name
+		owners[sr.Shard] = name
 		changed = true
-		r.clearPending(s)
-		if i < len(h.Rounds) {
-			r.lastRounds[s].Store(int64(h.Rounds[i]))
-		}
+		r.clearPending(sr.Shard)
+		r.lastRounds[sr.Shard].Store(int64(sr.Round))
 	}
 	if !changed {
 		return
@@ -1021,10 +1003,9 @@ func (r *Router) forwardPublish(topic pubsub.TopicID, user notif.UserID, item no
 		return publishOutcome{status: publishNotOwner, errText: fmt.Sprintf("node %s (shard %d) is down", owner.Name, shard)}
 	}
 
-	var e wal.Encoder
-	encodePublishReq(&e, topic, user, item)
+	req := wal.Marshal(envelopeFields, &envelope{topic: topic, user: user, item: item})
 	start := time.Now() //lint:allow wallclock forward latency measures real network round trips
-	_, resp, err := c.Call(FramePublish, e.Bytes())
+	_, resp, err := c.Call(FramePublish, req)
 	elapsed := time.Since(start) //lint:allow wallclock forward latency measures real network round trips
 	r.latMu.Lock()
 	r.fwdLatency.Add(elapsed.Seconds())
@@ -1037,9 +1018,10 @@ func (r *Router) forwardPublish(topic pubsub.TopicID, user notif.UserID, item no
 		return publishOutcome{status: publishError, errText: err.Error()}
 	}
 	r.countForward(owner.Name)
-	d := wal.NewDecoder(resp)
-	out := decodePublishResp(d)
-	if err := decodeErr(d, "publish response"); err != nil {
+	var out publishOutcome
+	d := wal.DecodeFrom(resp) // direct call: out stays on the stack, as in Node.ServeFrame
+	publishOutcomeFields(&d, &out)
+	if err := d.Finish("publish response"); err != nil {
 		return publishOutcome{status: publishError, errText: err.Error()}
 	}
 	return out
@@ -1133,30 +1115,24 @@ func (r *Router) handleDeliveries(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "owning node unknown")
 		return
 	}
-	var e wal.Encoder
-	e.I64(int64(user))
-	_, resp, err := c.Call(FrameDeliveries, e.Bytes())
+	_, raw, err := c.Call(FrameDeliveries, wal.Marshal(deliveriesReqFields, &deliveriesReq{User: user}))
 	if err != nil {
 		w.Header().Set("Retry-After", strconv.Itoa(r.retrySeconds()))
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	d := wal.NewDecoder(resp)
-	owned, ds := decodeDeliveriesResp(d)
-	if err := decodeErr(d, "deliveries response"); err != nil {
+	var resp deliveriesResp
+	if err := wal.Unmarshal(deliveriesRespFields, raw, "deliveries response", &resp); err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if !owned {
+	if !resp.Owned {
 		// The node's map lags ours (or ours lags the truth). Retryable.
 		w.Header().Set("Retry-After", strconv.Itoa(r.retrySeconds()))
 		httpError(w, http.StatusServiceUnavailable, fmt.Sprintf("node %s no longer owns user %d's shard", owner.Name, user))
 		return
 	}
-	if ds == nil {
-		ds = []notif.Delivery{}
-	}
-	writeJSON(w, http.StatusOK, DeliveriesResponse{User: user, Deliveries: ds})
+	writeJSON(w, http.StatusOK, DeliveriesResponse{User: user, Deliveries: resp.Deliveries})
 }
 
 // RouterTickResponse is the router's POST /v1/tick body. Rounds is
@@ -1197,18 +1173,16 @@ func (r *Router) handleTick(w http.ResponseWriter, req *http.Request) {
 			resp.Errors = append(resp.Errors, fmt.Sprintf("tick on node %s: %s", n.Name, err))
 			continue
 		}
-		d := wal.NewDecoder(raw)
-		cnt := d.Count(12, "tick rounds")
-		for i := 0; i < cnt; i++ {
-			shard := int(d.U32())
-			round := int(d.I64())
-			if shard >= 0 && shard < r.shards {
-				resp.Rounds[shard] = round
-				r.lastRounds[shard].Store(int64(round))
-			}
-		}
-		if err := decodeErr(d, "tick response"); err != nil {
+		var ticked tickResp
+		if err := wal.Unmarshal(tickRespFields, raw, "tick response", &ticked); err != nil {
 			resp.Errors = append(resp.Errors, err.Error())
+			continue
+		}
+		for _, sr := range ticked.Shards {
+			if sr.Shard < r.shards {
+				resp.Rounds[sr.Shard] = sr.Round
+				r.lastRounds[sr.Shard].Store(int64(sr.Round))
+			}
 		}
 	}
 	resp.Partial = len(resp.Errors) > 0
@@ -1248,23 +1222,18 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		}
 		if r.isUp(name) {
 			if _, raw, err := c.Call(FrameHealth, nil); err == nil {
-				d := wal.NewDecoder(raw)
-				h := decodeNodeHealth(d)
-				if decodeErr(d, "health response") == nil {
+				var h nodeHealth
+				if wal.Unmarshal(nodeHealthFields, raw, "health response", &h) == nil {
 					nh.Up = true
 					nh.MapVersion = h.MapVersion
-					if h.OwnedShards != nil {
-						nh.OwnedShards = h.OwnedShards
-					}
-					if h.Rounds != nil {
-						nh.Rounds = h.Rounds
-					}
 					nh.Users = h.Users
 					nh.QueueDepth = h.QueueDepth
 					nh.Errors = h.Errs
-					for i, s := range h.OwnedShards {
-						if s >= 0 && s < r.shards && i < len(h.Rounds) {
-							r.lastRounds[s].Store(int64(h.Rounds[i]))
+					for _, sr := range h.Shards {
+						nh.OwnedShards = append(nh.OwnedShards, sr.Shard)
+						nh.Rounds = append(nh.Rounds, sr.Round)
+						if sr.Shard < r.shards {
+							r.lastRounds[sr.Shard].Store(int64(sr.Round))
 						}
 					}
 				}
@@ -1302,9 +1271,8 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 			if err != nil {
 				continue // a dead node's stats are simply absent this scrape
 			}
-			d := wal.NewDecoder(raw)
-			st := decodeNodeStats(d)
-			if decodeErr(d, "stats response") != nil {
+			var st nodeStats
+			if wal.Unmarshal(nodeStatsFields, raw, "stats response", &st) != nil {
 				continue
 			}
 			total.Merge(st.Report)

@@ -140,8 +140,8 @@ type shard struct {
 	// devices at restore time, and the replay flag that keeps recovery
 	// from re-logging the records it is replaying.
 	log       *wal.Writer                 // richnote:confined(shard)
-	walEnc    wal.Encoder                 // richnote:confined(shard)
-	snapEnc   wal.Encoder                 // richnote:confined(shard)
+	walEnc    wal.Codec                   // richnote:confined(shard)
+	snapEnc   wal.Codec                   // richnote:confined(shard)
 	userCfgs  map[notif.UserID]UserConfig // richnote:confined(shard)
 	replaying bool                        // richnote:confined(shard)
 
@@ -299,8 +299,8 @@ func (sh *shard) recycle() {
 	sh.aggQueue = 0
 	sh.aggLyap = lyapunov.Stats{}
 	sh.log = nil
-	sh.walEnc = wal.Encoder{}
-	sh.snapEnc = wal.Encoder{}
+	sh.walEnc = wal.Codec{}
+	sh.snapEnc = wal.Codec{}
 	sh.userCfgs = make(map[notif.UserID]UserConfig)
 	sh.replaying = false
 	sh.doneMu.Lock()

@@ -1,13 +1,14 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
-	"github.com/richnote/richnote/internal/core"
 	"github.com/richnote/richnote/internal/lyapunov"
 	"github.com/richnote/richnote/internal/metrics"
 	"github.com/richnote/richnote/internal/network"
@@ -32,6 +33,9 @@ import (
 // code paths of the original run (accept, runRound) on re-seeded RNG
 // streams fast-forwarded to their snapshotted draw counts, which is what
 // makes the recovered state bit-identical rather than merely equivalent.
+//
+// Every byte string here is defined by one Fields function run in either
+// direction (wal.Codec); testdata/golden pins the resulting formats.
 
 // WAL record types.
 const (
@@ -63,25 +67,24 @@ func (sh *shard) snapPath() string {
 // scratch are reused, so the steady-state append allocates nothing.
 //
 // richnote:allocfree
-// richnote:codecpair(publishRecord) — replayed by decodeEnvelope.
 func (sh *shard) logPublish(env envelope) {
 	sh.walEnc.Reset()
-	e := &sh.walEnc
-	e.I64(int64(env.topic.Kind))
-	e.I64(env.topic.Entity)
-	e.I64(int64(env.user))
-	encodeItem(e, env.item)
-	if _, err := sh.log.Append(recPublish, e.Bytes()); err != nil {
+	envelopeFields(&sh.walEnc, &env)
+	if _, err := sh.log.Append(recPublish, sh.walEnc.Bytes()); err != nil {
 		sh.lastErr = fmt.Errorf("server: wal: %w", err)
 	}
 }
+
+// roundFields describes the recRound payload: the index of the round that
+// just completed.
+func roundFields(c *wal.Codec, completed *int) { wal.Int(c, completed) }
 
 // logRound appends the just-completed round index and either compacts into
 // a snapshot (every SnapshotEvery rounds) or commits the round boundary
 // per the fsync policy.
 func (sh *shard) logRound(completed int) {
 	sh.walEnc.Reset()
-	sh.walEnc.I64(int64(completed))
+	roundFields(&sh.walEnc, &completed)
 	if _, err := sh.log.Append(recRound, sh.walEnc.Bytes()); err != nil {
 		sh.lastErr = fmt.Errorf("server: wal: %w", err)
 		return
@@ -109,21 +112,14 @@ func (sh *shard) logRound(completed int) {
 // sequence comparison.
 func (sh *shard) writeSnapshot() error {
 	sh.settleAll()
-	sh.snapEnc.Reset()
-	e := &sh.snapEnc
-	e.Str(snapMagic)
-	e.U32(snapVersion)
-	e.U32(uint32(sh.id))
-	e.I64(sh.srv.cfg.Seed)
-	f := sh.srv.cfg.Faults
-	e.F64(f.CellLoss)
-	e.F64(f.WifiLoss)
-	e.F64(f.CellDisconnect)
-	e.F64(f.WifiDisconnect)
-	e.U64(sh.log.Seq())
-	sh.encodeState(e)
-	e.U32(crc32.ChecksumIEEE(e.Bytes()))
-	buf := e.Bytes()
+	c := &sh.snapEnc
+	c.Reset()
+	h := sh.snapHeader(sh.log.Seq())
+	snapHeaderFields(c, &h)
+	sh.stateFields(c)
+	crc := crc32.ChecksumIEEE(c.Bytes())
+	c.U32(&crc)
+	buf := c.Bytes()
 	if err := wal.WriteFileAtomic(sh.snapPath(), func(w io.Writer) error {
 		_, werr := w.Write(buf)
 		return werr
@@ -183,18 +179,20 @@ func (sh *shard) openWAL() error {
 		if seq <= snapSeq {
 			return nil // superseded: the snapshot already contains its effect
 		}
-		d := wal.NewDecoder(payload)
+		c := wal.DecodeFrom(payload)
 		switch typ {
 		case recPublish:
-			env := decodeEnvelope(d)
-			if d.Err() != nil {
-				return fmt.Errorf("server: wal replay shard %d seq %d: %w", sh.id, seq, d.Err())
+			var env envelope
+			envelopeFields(&c, &env)
+			if err := c.Finish("publish record"); err != nil {
+				return fmt.Errorf("server: wal replay shard %d seq %d: %w", sh.id, seq, err)
 			}
 			sh.accept(env)
 		case recRound:
-			want := int(d.I64())
-			if d.Err() != nil {
-				return fmt.Errorf("server: wal replay shard %d seq %d: %w", sh.id, seq, d.Err())
+			var want int
+			roundFields(&c, &want)
+			if err := c.Finish("round record"); err != nil {
+				return fmt.Errorf("server: wal replay shard %d seq %d: %w", sh.id, seq, err)
 			}
 			if sh.round != want {
 				return fmt.Errorf("server: wal replay shard %d: round record %d but shard at round %d (snapshot/log mismatch)",
@@ -229,6 +227,42 @@ func (sh *shard) openWAL() error {
 	return nil
 }
 
+// snapHeader binds a snapshot file to the shard and configuration that
+// wrote it, and records the log sequence number the snapshot supersedes.
+type snapHeader struct {
+	Magic   string
+	Version uint32
+	Shard   int
+	Seed    int64
+	Faults  network.FaultConfig
+	LastSeq uint64
+}
+
+func snapHeaderFields(c *wal.Codec, h *snapHeader) {
+	c.Str(&h.Magic)
+	c.U32(&h.Version)
+	c.IntU32(&h.Shard)
+	c.I64(&h.Seed)
+	c.F64(&h.Faults.CellLoss)
+	c.F64(&h.Faults.WifiLoss)
+	c.F64(&h.Faults.CellDisconnect)
+	c.F64(&h.Faults.WifiDisconnect)
+	c.U64(&h.LastSeq)
+}
+
+// snapHeader is the header this shard writes, and the one it insists on
+// reading back (LastSeq aside).
+func (sh *shard) snapHeader(lastSeq uint64) snapHeader {
+	return snapHeader{
+		Magic:   snapMagic,
+		Version: snapVersion,
+		Shard:   sh.id,
+		Seed:    sh.srv.cfg.Seed,
+		Faults:  sh.srv.cfg.Faults,
+		LastSeq: lastSeq,
+	}
+}
+
 // loadSnapshot reads and verifies the snapshot file, restores the shard
 // state from it, and returns the log sequence number it supersedes. A
 // missing file is an empty (round-zero) shard.
@@ -244,49 +278,37 @@ func (sh *shard) loadSnapshot() (uint64, error) {
 	if len(data) < 4 {
 		return 0, fmt.Errorf("server: snapshot %s: too short (%d bytes)", path, len(data))
 	}
+	var wantCRC uint32
+	foot := wal.DecodeFrom(data[len(data)-4:])
+	foot.U32(&wantCRC)
 	body := data[:len(data)-4]
-	wantCRC := wal.NewDecoder(data[len(data)-4:]).U32()
 	if crc32.ChecksumIEEE(body) != wantCRC {
 		return 0, fmt.Errorf("server: snapshot %s: checksum mismatch", path)
 	}
-	d := wal.NewDecoder(body)
-	if magic := d.Str(); magic != snapMagic {
-		return 0, fmt.Errorf("server: snapshot %s: bad magic %q", path, magic)
-	}
-	if v := d.U32(); v != snapVersion {
-		return 0, fmt.Errorf("server: snapshot %s: unsupported version %d", path, v)
-	}
-	if id := d.U32(); id != uint32(sh.id) {
-		return 0, fmt.Errorf("server: snapshot %s: belongs to shard %d, not %d", path, id, sh.id)
-	}
-	if seed := d.I64(); seed != sh.srv.cfg.Seed {
+	c := wal.DecodeFrom(body)
+	var got snapHeader
+	snapHeaderFields(&c, &got)
+	switch want := sh.snapHeader(got.LastSeq); {
+	case c.Err() != nil:
+		return 0, fmt.Errorf("server: snapshot %s: %w", path, c.Err())
+	case got.Magic != want.Magic:
+		return 0, fmt.Errorf("server: snapshot %s: bad magic %q", path, got.Magic)
+	case got.Version != want.Version:
+		return 0, fmt.Errorf("server: snapshot %s: unsupported version %d", path, got.Version)
+	case got.Shard != want.Shard:
+		return 0, fmt.Errorf("server: snapshot %s: belongs to shard %d, not %d", path, got.Shard, want.Shard)
+	case got.Seed != want.Seed:
 		return 0, fmt.Errorf("server: snapshot %s: seed %d does not match configured %d — restored RNG streams would diverge",
-			path, seed, sh.srv.cfg.Seed)
-	}
-	got := network.FaultConfig{
-		CellLoss:       d.F64(),
-		WifiLoss:       d.F64(),
-		CellDisconnect: d.F64(),
-		WifiDisconnect: d.F64(),
-	}
-	if got != sh.srv.cfg.Faults {
+			path, got.Seed, want.Seed)
+	case got.Faults != want.Faults:
 		return 0, fmt.Errorf("server: snapshot %s: fault config %+v does not match configured %+v",
-			path, got, sh.srv.cfg.Faults)
+			path, got.Faults, want.Faults)
 	}
-	lastSeq := d.U64()
-	if d.Err() != nil {
-		return 0, fmt.Errorf("server: snapshot %s: %w", path, d.Err())
-	}
-	if err := sh.restoreState(d); err != nil {
+	sh.stateFields(&c)
+	if err := c.Finish("shard state"); err != nil {
 		return 0, fmt.Errorf("server: snapshot %s: %w", path, err)
 	}
-	if d.Err() != nil {
-		return 0, fmt.Errorf("server: snapshot %s: %w", path, d.Err())
-	}
-	if d.Remaining() != 0 {
-		return 0, fmt.Errorf("server: snapshot %s: %d trailing bytes", path, d.Remaining())
-	}
-	return lastSeq, nil
+	return got.LastSeq, nil
 }
 
 // stateBytes returns the shard's canonical state encoding — the exact
@@ -296,205 +318,134 @@ func (sh *shard) loadSnapshot() (uint64, error) {
 // independent of which users the event-driven loop happened to skip.
 func (sh *shard) stateBytes() []byte {
 	sh.settleAll()
-	var e wal.Encoder
-	sh.encodeState(&e)
-	return append([]byte(nil), e.Bytes()...)
+	var c wal.Codec
+	sh.stateFields(&c)
+	return c.Bytes()
 }
 
-// encodeState writes every piece of shard state that must survive a crash,
-// in canonical order (users ascending throughout; see each component's
-// ExportState for its own ordering guarantees). Excluded on purpose:
-// wall-clock telemetry (obs.Recorder spans, LastRound/AvgRound) and
-// lastErr, which describe the process, not the schedule.
-//
-// richnote:codecpair(shardState) — read back by restoreState.
-func (sh *shard) encodeState(e *wal.Encoder) {
-	e.I64(int64(sh.round))
-	e.U64(sh.backpressured.Load())
-	e.U64(sh.droppedIngest.Load())
+// userState, userQueue and userFeed are the per-user units of the state
+// walk, in the plain exported forms the owner methods trade in.
+type userState struct {
+	Cfg    UserConfig
+	Topics []pubsub.TopicID // ascending
+	Device sched.DeviceState
+}
 
-	e.U32(uint32(len(sh.userOrder)))
-	for _, u := range sh.userOrder {
-		encodeUserConfig(e, sh.userCfgs[u])
-		topics := sortedTopics(sh.subs[u])
-		e.U32(uint32(len(topics)))
-		for _, t := range topics {
-			e.I64(int64(t.Kind))
-			e.I64(t.Entity)
+func userStateFields(c *wal.Codec, u *userState) {
+	userConfigFields(c, &u.Cfg)
+	wal.Slice(c, &u.Topics, 16, "topics", topicFields)
+	deviceStateFields(c, &u.Device)
+}
+
+type userQueue struct {
+	User  notif.UserID
+	Items []sched.Queued
+}
+
+func userQueueFields(c *wal.Codec, q *userQueue) {
+	wal.Int(c, &q.User)
+	wal.Slice(c, &q.Items, 8, "inbox items", queuedFields)
+}
+
+type userFeed struct {
+	User       notif.UserID
+	Deliveries []notif.Delivery
+}
+
+func userFeedFields(c *wal.Codec, f *userFeed) {
+	wal.Int(c, &f.User)
+	wal.Slice(c, &f.Deliveries, 16, "feed entries", deliveryFields)
+}
+
+// stateFields is the one description of everything in a shard that must
+// survive a crash, in canonical order (users ascending throughout; see
+// each component's ExportState for its own ordering guarantees).
+// Encoding, it exports the live components and writes them; decoding, it
+// reads them and — behind c.Decoding() — rebuilds the shard: devices are
+// re-created from their stored configs (re-seeding their RNG streams),
+// subscriptions re-registered, and every component restored through its
+// own owner method, which requires a freshly constructed shard. Excluded
+// on purpose: wall-clock telemetry (obs.Recorder spans,
+// LastRound/AvgRound) and lastErr, which describe the process, not the
+// schedule. A restore that cannot proceed latches its reason in c
+// (Codec.Fail) and stops installing; the caller's Finish reports it.
+func (sh *shard) stateFields(c *wal.Codec) {
+	dec := c.Decoding()
+	if dec && len(sh.devices) != 0 {
+		c.Fail(fmt.Errorf("server: restore into shard %d with %d users already registered", sh.id, len(sh.devices)))
+		return
+	}
+	wal.Int(c, &sh.round)
+	backpressured, dropped := sh.backpressured.Load(), sh.droppedIngest.Load()
+	c.U64(&backpressured)
+	c.U64(&dropped)
+	if dec {
+		sh.backpressured.Store(backpressured)
+		sh.droppedIngest.Store(dropped)
+	}
+
+	nUsers := len(sh.userOrder)
+	c.Count(&nUsers, 8, "users")
+	for i := 0; i < nUsers && c.Err() == nil; i++ {
+		var u userState
+		if !dec {
+			id := sh.userOrder[i]
+			u = userState{Cfg: sh.userCfgs[id], Topics: sortedTopics(sh.subs[id]), Device: sh.devices[id].ExportState()}
 		}
-		encodeDeviceState(e, sh.devices[u].ExportState())
-	}
-
-	inboxUsers := make([]notif.UserID, 0, len(sh.inbox))
-	for u := range sh.inbox {
-		if len(sh.inbox[u]) > 0 {
-			inboxUsers = append(inboxUsers, u)
-		}
-	}
-	sortUserIDs(inboxUsers)
-	e.U32(uint32(len(inboxUsers)))
-	for _, u := range inboxUsers {
-		e.I64(int64(u))
-		batch := sh.inbox[u]
-		e.U32(uint32(len(batch)))
-		for i := range batch {
-			encodeQueued(e, &batch[i])
+		userStateFields(c, &u)
+		if dec && c.Err() == nil {
+			c.Fail(sh.restoreUser(&u))
 		}
 	}
 
-	bs := sh.broker.ExportState()
-	e.U64(bs.Published)
-	e.U64(bs.Delivered)
-	e.U32(uint32(len(bs.Pending)))
-	for _, p := range bs.Pending {
-		e.I64(int64(p.Topic.Kind))
-		e.I64(p.Topic.Entity)
-		e.I64(int64(p.User))
-		e.U32(uint32(len(p.Items)))
-		for _, it := range p.Items {
-			encodeItem(e, it)
+	var inbox []userQueue
+	if !dec {
+		users := nonEmptyUsers(sh.inbox)
+		inbox = make([]userQueue, 0, len(users))
+		for _, u := range users {
+			inbox = append(inbox, userQueue{User: u, Items: sh.inbox[u]})
 		}
 	}
+	wal.Slice(c, &inbox, 12, "inbox users", userQueueFields)
 
-	cs := sh.col.ExportState()
-	e.U32(uint32(len(cs.Users)))
-	for i := range cs.Users {
-		encodeUserMetrics(e, &cs.Users[i])
+	var bs pubsub.BrokerState
+	var cs metrics.CollectorState
+	if !dec {
+		bs, cs = sh.broker.ExportState(), sh.col.ExportState()
 	}
-	e.U32(uint32(len(cs.DelaySamples)))
-	for _, v := range cs.DelaySamples {
-		e.F64(v)
-	}
+	brokerStateFields(c, &bs)
+	collectorStateFields(c, &cs)
 
+	var feeds []userFeed
 	sh.feedMu.Lock()
-	feedUsers := make([]notif.UserID, 0, len(sh.feeds))
-	for u := range sh.feeds {
-		if len(sh.feeds[u]) > 0 {
-			feedUsers = append(feedUsers, u)
+	if !dec {
+		users := nonEmptyUsers(sh.feeds)
+		feeds = make([]userFeed, 0, len(users))
+		for _, u := range users {
+			feeds = append(feeds, userFeed{User: u, Deliveries: sh.feeds[u]})
 		}
 	}
-	sortUserIDs(feedUsers)
-	e.U32(uint32(len(feedUsers)))
-	for _, u := range feedUsers {
-		e.I64(int64(u))
-		feed := sh.feeds[u]
-		e.U32(uint32(len(feed)))
-		for i := range feed {
-			encodeDelivery(e, &feed[i])
+	wal.Slice(c, &feeds, 12, "feed users", userFeedFields)
+	if dec && c.Err() == nil {
+		for _, f := range feeds {
+			sh.feeds[f.User] = f.Deliveries
 		}
 	}
 	sh.feedMu.Unlock()
-}
 
-// restoreState rebuilds the shard from an encoded snapshot: devices are
-// re-created from their stored configs (re-seeding their RNG streams),
-// subscriptions re-registered, and every component's state restored
-// through its own owner method. Must run on a freshly constructed shard.
-//
-// richnote:codecpair(shardState)
-func (sh *shard) restoreState(d *wal.Decoder) error {
-	if len(sh.devices) != 0 {
-		return fmt.Errorf("server: restore into shard %d with %d users already registered", sh.id, len(sh.devices))
+	if !dec || c.Err() != nil {
+		return
 	}
-	sh.round = int(d.I64())
-	sh.backpressured.Store(d.U64())
-	sh.droppedIngest.Store(d.U64())
-
-	nUsers := d.Count(8, "users")
-	for i := 0; i < nUsers; i++ {
-		cfg := decodeUserConfig(d)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if err := sh.addUser(cfg); err != nil {
-			return err
-		}
-		nTopics := d.Count(16, "topics")
-		for j := 0; j < nTopics; j++ {
-			topic := pubsub.TopicID{Kind: notif.TopicKind(d.I64()), Entity: d.I64()}
-			if d.Err() != nil {
-				return d.Err()
-			}
-			if err := sh.subscribe(cfg.User, topic); err != nil {
-				return err
-			}
-		}
-		ds := decodeDeviceState(d)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if err := sh.devices[cfg.User].RestoreState(ds); err != nil {
-			return err
-		}
-	}
-
-	nInbox := d.Count(12, "inbox users")
-	for i := 0; i < nInbox; i++ {
-		u := notif.UserID(d.I64())
-		n := d.Count(8, "inbox items")
-		batch := make([]sched.Queued, 0, n)
-		for j := 0; j < n; j++ {
-			batch = append(batch, decodeQueued(d))
-		}
-		if d.Err() != nil {
-			return d.Err()
-		}
-		sh.inbox[u] = batch
-	}
-
-	var bs pubsub.BrokerState
-	bs.Published = d.U64()
-	bs.Delivered = d.U64()
-	nPending := d.Count(28, "pending buffers")
-	for i := 0; i < nPending; i++ {
-		p := pubsub.PendingState{
-			Topic: pubsub.TopicID{Kind: notif.TopicKind(d.I64()), Entity: d.I64()},
-			User:  notif.UserID(d.I64()),
-		}
-		n := d.Count(8, "pending items")
-		for j := 0; j < n; j++ {
-			p.Items = append(p.Items, decodeItem(d))
-		}
-		bs.Pending = append(bs.Pending, p)
-	}
-	if d.Err() != nil {
-		return d.Err()
+	for _, q := range inbox {
+		sh.inbox[q.User] = q.Items
 	}
 	if err := sh.broker.RestoreState(bs); err != nil {
-		return err
-	}
-
-	var cs metrics.CollectorState
-	nMetrics := d.Count(16, "metric users")
-	for i := 0; i < nMetrics; i++ {
-		cs.Users = append(cs.Users, decodeUserMetrics(d))
-	}
-	nSamples := d.Count(8, "delay samples")
-	for i := 0; i < nSamples; i++ {
-		cs.DelaySamples = append(cs.DelaySamples, d.F64())
-	}
-	if d.Err() != nil {
-		return d.Err()
+		c.Fail(err)
+		return
 	}
 	if err := sh.col.RestoreState(cs); err != nil {
-		return err
-	}
-
-	nFeeds := d.Count(12, "feed users")
-	for i := 0; i < nFeeds; i++ {
-		u := notif.UserID(d.I64())
-		n := d.Count(16, "feed entries")
-		feed := make([]notif.Delivery, 0, n)
-		for j := 0; j < n; j++ {
-			feed = append(feed, decodeDelivery(d))
-		}
-		if d.Err() != nil {
-			return d.Err()
-		}
-		sh.setFeed(u, feed)
-	}
-	if err := d.Err(); err != nil {
-		return err
+		c.Fail(err)
+		return
 	}
 	// Derive the event-driven bookkeeping from the restored ground truth:
 	// the dirty set is exactly {¬quiescent ∨ inbox≠∅} and the running
@@ -502,22 +453,33 @@ func (sh *shard) restoreState(d *wal.Decoder) error {
 	// dirty-set path the crashed process was on.
 	sh.rebuildAgg()
 	sh.rebuildDirty()
-	return nil
 }
 
-// setFeed installs one restored recent-delivery feed.
-func (sh *shard) setFeed(u notif.UserID, feed []notif.Delivery) {
-	sh.feedMu.Lock()
-	sh.feeds[u] = feed
-	sh.feedMu.Unlock()
-}
-
-func sortUserIDs(ids []notif.UserID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
+// restoreUser is the decode side of one user: register, re-subscribe,
+// restore the device.
+func (sh *shard) restoreUser(u *userState) error {
+	if err := sh.addUser(u.Cfg); err != nil {
+		return err
+	}
+	for _, topic := range u.Topics {
+		if err := sh.subscribe(u.Cfg.User, topic); err != nil {
+			return err
 		}
 	}
+	return sh.devices[u.Cfg.User].RestoreState(u.Device)
+}
+
+// nonEmptyUsers returns the users holding a non-empty entry in m,
+// ascending.
+func nonEmptyUsers[T any](m map[notif.UserID][]T) []notif.UserID {
+	ids := make([]notif.UserID, 0, len(m))
+	for u, v := range m {
+		if len(v) > 0 {
+			ids = append(ids, u)
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 func sortedTopics(set map[pubsub.TopicID]bool) []pubsub.TopicID {
@@ -525,297 +487,172 @@ func sortedTopics(set map[pubsub.TopicID]bool) []pubsub.TopicID {
 	for t := range set {
 		topics = append(topics, t)
 	}
-	for i := 1; i < len(topics); i++ {
-		for j := i; j > 0; j-- {
-			a, b := topics[j], topics[j-1]
-			if a.Kind > b.Kind || (a.Kind == b.Kind && a.Entity >= b.Entity) {
-				break
-			}
-			topics[j], topics[j-1] = b, a
+	slices.SortFunc(topics, func(a, b pubsub.TopicID) int {
+		if a.Kind != b.Kind {
+			return int(a.Kind) - int(b.Kind)
 		}
-	}
+		return cmp.Compare(a.Entity, b.Entity)
+	})
 	return topics
 }
 
-// --- value codecs -----------------------------------------------------------
+// --- value descriptions ------------------------------------------------------
 
-func encodeItem(e *wal.Encoder, it notif.Item) {
-	e.I64(int64(it.ID))
-	e.I64(int64(it.Kind))
-	e.I64(int64(it.Topic))
-	e.I64(int64(it.Sender))
-	e.I64(int64(it.Recipient))
-	e.Time(it.CreatedAt)
-	e.I64(it.Meta.TrackID)
-	e.I64(it.Meta.AlbumID)
-	e.I64(it.Meta.ArtistID)
-	e.F64(it.Meta.TrackPopularity)
-	e.F64(it.Meta.AlbumPopularity)
-	e.F64(it.Meta.ArtistPopularity)
-	e.I64(int64(it.Meta.Genre))
-	e.Str(it.Meta.URL)
-	e.F64(it.TieStrength)
+func topicFields(c *wal.Codec, t *pubsub.TopicID) {
+	wal.Int(c, &t.Kind)
+	c.I64(&t.Entity)
 }
 
-func decodeItem(d *wal.Decoder) notif.Item {
-	return notif.Item{
-		ID:        notif.ItemID(d.I64()),
-		Kind:      notif.ContentKind(d.I64()),
-		Topic:     notif.TopicKind(d.I64()),
-		Sender:    notif.UserID(d.I64()),
-		Recipient: notif.UserID(d.I64()),
-		CreatedAt: d.Time(),
-		Meta: notif.Metadata{
-			TrackID:          d.I64(),
-			AlbumID:          d.I64(),
-			ArtistID:         d.I64(),
-			TrackPopularity:  d.F64(),
-			AlbumPopularity:  d.F64(),
-			ArtistPopularity: d.F64(),
-			Genre:            int(d.I64()),
-			URL:              d.Str(),
-		},
-		TieStrength: d.F64(),
+func itemFields(c *wal.Codec, it *notif.Item) {
+	wal.Int(c, &it.ID)
+	wal.Int(c, &it.Kind)
+	wal.Int(c, &it.Topic)
+	wal.Int(c, &it.Sender)
+	wal.Int(c, &it.Recipient)
+	c.Time(&it.CreatedAt)
+	c.I64(&it.Meta.TrackID)
+	c.I64(&it.Meta.AlbumID)
+	c.I64(&it.Meta.ArtistID)
+	c.F64(&it.Meta.TrackPopularity)
+	c.F64(&it.Meta.AlbumPopularity)
+	c.F64(&it.Meta.ArtistPopularity)
+	wal.Int(c, &it.Meta.Genre)
+	c.Str(&it.Meta.URL)
+	c.F64(&it.TieStrength)
+}
+
+// envelopeFields describes one routed publication. It is both the
+// recPublish log record and the FramePublish request: the router's bytes
+// are the bytes the owning shard logs.
+func envelopeFields(c *wal.Codec, env *envelope) {
+	topicFields(c, &env.topic)
+	wal.Int(c, &env.user)
+	itemFields(c, &env.item)
+}
+
+func presentationFields(c *wal.Codec, p *notif.Presentation) {
+	wal.Int(c, &p.Level)
+	c.I64(&p.Size)
+	c.F64(&p.Utility)
+	c.F64(&p.DurationSec)
+	wal.Int(c, &p.SampleRateHz)
+	wal.Int(c, &p.BitrateKbps)
+	c.Str(&p.Label)
+}
+
+func queuedFields(c *wal.Codec, q *sched.Queued) {
+	itemFields(c, &q.Rich.Item)
+	c.F64(&q.Rich.ContentUtility)
+	wal.Slice(c, &q.Rich.Presentations, 44, "presentations", presentationFields)
+	wal.Int(c, &q.Rich.ArrivedRound)
+	c.Bool(&q.Clicked)
+	wal.Int(c, &q.ClickRound)
+	c.F64(&q.TrueUc)
+	wal.Int(c, &q.Attempts)
+	wal.Int(c, &q.LevelCap)
+}
+
+func deliveryFields(c *wal.Codec, dl *notif.Delivery) {
+	wal.Int(c, &dl.ItemID)
+	wal.Int(c, &dl.Recipient)
+	wal.Int(c, &dl.Level)
+	c.I64(&dl.Size)
+	c.F64(&dl.Utility)
+	c.F64(&dl.TrueUtility)
+	c.F64(&dl.EnergyJ)
+	wal.Int(c, &dl.Retries)
+	c.Bool(&dl.Degraded)
+	wal.Int(c, &dl.ArrivedRound)
+	wal.Int(c, &dl.DeliveredRound)
+	c.Time(&dl.DeliveredAt)
+}
+
+func userConfigFields(c *wal.Codec, cfg *UserConfig) {
+	wal.Int(c, &cfg.User)
+	wal.Int(c, &cfg.Strategy)
+	wal.Int(c, &cfg.FixedLevel)
+	c.I64(&cfg.WeeklyBudgetBytes)
+	c.F64(&cfg.V)
+	c.F64(&cfg.KappaJ)
+	if c.Decoding() {
+		cfg.NetworkMatrix = new(network.Matrix)
 	}
-}
-
-// richnote:codecpair(publishRecord)
-func decodeEnvelope(d *wal.Decoder) envelope {
-	return envelope{
-		topic: pubsub.TopicID{Kind: notif.TopicKind(d.I64()), Entity: d.I64()},
-		user:  notif.UserID(d.I64()),
-		item:  decodeItem(d),
-	}
-}
-
-func encodeQueued(e *wal.Encoder, q *sched.Queued) {
-	encodeItem(e, q.Rich.Item)
-	e.F64(q.Rich.ContentUtility)
-	e.U32(uint32(len(q.Rich.Presentations)))
-	for _, p := range q.Rich.Presentations {
-		e.I64(int64(p.Level))
-		e.I64(p.Size)
-		e.F64(p.Utility)
-		e.F64(p.DurationSec)
-		e.I64(int64(p.SampleRateHz))
-		e.I64(int64(p.BitrateKbps))
-		e.Str(p.Label)
-	}
-	e.I64(int64(q.Rich.ArrivedRound))
-	e.Bool(q.Clicked)
-	e.I64(int64(q.ClickRound))
-	e.F64(q.TrueUc)
-	e.I64(int64(q.Attempts))
-	e.I64(int64(q.LevelCap))
-}
-
-func decodeQueued(d *wal.Decoder) sched.Queued {
-	var q sched.Queued
-	q.Rich.Item = decodeItem(d)
-	q.Rich.ContentUtility = d.F64()
-	n := d.Count(44, "presentations")
-	q.Rich.Presentations = make([]notif.Presentation, 0, n)
-	for i := 0; i < n; i++ {
-		q.Rich.Presentations = append(q.Rich.Presentations, notif.Presentation{
-			Level:        int(d.I64()),
-			Size:         d.I64(),
-			Utility:      d.F64(),
-			DurationSec:  d.F64(),
-			SampleRateHz: int(d.I64()),
-			BitrateKbps:  int(d.I64()),
-			Label:        d.Str(),
-		})
-	}
-	q.Rich.ArrivedRound = int(d.I64())
-	q.Clicked = d.Bool()
-	q.ClickRound = int(d.I64())
-	q.TrueUc = d.F64()
-	q.Attempts = int(d.I64())
-	q.LevelCap = int(d.I64())
-	return q
-}
-
-func encodeDelivery(e *wal.Encoder, dl *notif.Delivery) {
-	e.I64(int64(dl.ItemID))
-	e.I64(int64(dl.Recipient))
-	e.I64(int64(dl.Level))
-	e.I64(dl.Size)
-	e.F64(dl.Utility)
-	e.F64(dl.TrueUtility)
-	e.F64(dl.EnergyJ)
-	e.I64(int64(dl.Retries))
-	e.Bool(dl.Degraded)
-	e.I64(int64(dl.ArrivedRound))
-	e.I64(int64(dl.DeliveredRound))
-	e.Time(dl.DeliveredAt)
-}
-
-func decodeDelivery(d *wal.Decoder) notif.Delivery {
-	return notif.Delivery{
-		ItemID:         notif.ItemID(d.I64()),
-		Recipient:      notif.UserID(d.I64()),
-		Level:          int(d.I64()),
-		Size:           d.I64(),
-		Utility:        d.F64(),
-		TrueUtility:    d.F64(),
-		EnergyJ:        d.F64(),
-		Retries:        int(d.I64()),
-		Degraded:       d.Bool(),
-		ArrivedRound:   int(d.I64()),
-		DeliveredRound: int(d.I64()),
-		DeliveredAt:    d.Time(),
-	}
-}
-
-func encodeUserConfig(e *wal.Encoder, cfg UserConfig) {
-	e.I64(int64(cfg.User))
-	e.I64(int64(cfg.Strategy))
-	e.I64(int64(cfg.FixedLevel))
-	e.I64(cfg.WeeklyBudgetBytes)
-	e.F64(cfg.V)
-	e.F64(cfg.KappaJ)
-	for r := 0; r < 3; r++ {
-		for c := 0; c < 3; c++ {
-			e.F64(cfg.NetworkMatrix[r][c])
+	for row := range cfg.NetworkMatrix {
+		for col := range cfg.NetworkMatrix[row] {
+			c.F64(&cfg.NetworkMatrix[row][col])
 		}
 	}
-	e.I64(int64(cfg.StartState))
-	e.I64(int64(cfg.MaxDeliveriesPerRound))
-	e.I64(int64(cfg.MaxAttempts))
-	e.Bool(cfg.DegradeOnFailure)
+	wal.Int(c, &cfg.StartState)
+	wal.Int(c, &cfg.MaxDeliveriesPerRound)
+	wal.Int(c, &cfg.MaxAttempts)
+	c.Bool(&cfg.DegradeOnFailure)
 }
 
-func decodeUserConfig(d *wal.Decoder) UserConfig {
-	cfg := UserConfig{
-		User:              notif.UserID(d.I64()),
-		Strategy:          core.StrategyKind(d.I64()),
-		FixedLevel:        int(d.I64()),
-		WeeklyBudgetBytes: d.I64(),
-		V:                 d.F64(),
-		KappaJ:            d.F64(),
-	}
-	var m network.Matrix
-	for r := 0; r < 3; r++ {
-		for c := 0; c < 3; c++ {
-			m[r][c] = d.F64()
-		}
-	}
-	cfg.NetworkMatrix = &m
-	cfg.StartState = network.State(d.I64())
-	cfg.MaxDeliveriesPerRound = int(d.I64())
-	cfg.MaxAttempts = int(d.I64())
-	cfg.DegradeOnFailure = d.Bool()
-	return cfg
-}
-
-func encodeDeviceState(e *wal.Encoder, s sched.DeviceState) {
-	e.U32(uint32(len(s.Queue)))
-	for i := range s.Queue {
-		encodeQueued(e, &s.Queue[i])
-	}
-	e.F64(s.BudgetBase)
-	e.I64(s.BudgetPendingRounds)
-	e.F64(s.BudgetDebited)
-	e.F64(s.BudgetRefunded)
-	e.F64(s.BatteryLevel)
-	e.U64(s.BatteryDraws)
-	e.I64(int64(s.NetworkState))
-	e.U64(s.NetworkDraws)
-	e.U64(s.FaultDraws)
-	e.I64(int64(s.NextRound))
-	e.Bool(s.HasController)
+func deviceStateFields(c *wal.Codec, s *sched.DeviceState) {
+	wal.Slice(c, &s.Queue, 120, "device queue", queuedFields)
+	c.F64(&s.BudgetBase)
+	c.I64(&s.BudgetPendingRounds)
+	c.F64(&s.BudgetDebited)
+	c.F64(&s.BudgetRefunded)
+	c.F64(&s.BatteryLevel)
+	c.U64(&s.BatteryDraws)
+	wal.Int(c, &s.NetworkState)
+	c.U64(&s.NetworkDraws)
+	c.U64(&s.FaultDraws)
+	wal.Int(c, &s.NextRound)
+	c.Bool(&s.HasController)
 	if s.HasController {
-		e.F64(s.Controller.Q)
-		e.F64(s.Controller.P)
-		e.F64(s.Controller.MaxQ)
-		e.F64(s.Controller.SumQ)
-		e.I64(int64(s.Controller.Rounds))
-		e.F64(s.Controller.DriftSum)
-		e.F64(s.Controller.LastL)
-		e.Bool(s.Controller.Initialized)
+		controllerFields(c, &s.Controller)
 	}
 }
 
-func decodeDeviceState(d *wal.Decoder) sched.DeviceState {
-	var s sched.DeviceState
-	n := d.Count(120, "device queue")
-	s.Queue = make([]sched.Queued, 0, n)
-	for i := 0; i < n; i++ {
-		s.Queue = append(s.Queue, decodeQueued(d))
-	}
-	s.BudgetBase = d.F64()
-	s.BudgetPendingRounds = d.I64()
-	s.BudgetDebited = d.F64()
-	s.BudgetRefunded = d.F64()
-	s.BatteryLevel = d.F64()
-	s.BatteryDraws = d.U64()
-	s.NetworkState = network.State(d.I64())
-	s.NetworkDraws = d.U64()
-	s.FaultDraws = d.U64()
-	s.NextRound = int(d.I64())
-	s.HasController = d.Bool()
-	if s.HasController {
-		s.Controller = lyapunov.State{
-			Q:           d.F64(),
-			P:           d.F64(),
-			MaxQ:        d.F64(),
-			SumQ:        d.F64(),
-			Rounds:      int(d.I64()),
-			DriftSum:    d.F64(),
-			LastL:       d.F64(),
-			Initialized: d.Bool(),
-		}
-	}
-	return s
+func controllerFields(c *wal.Codec, s *lyapunov.State) {
+	c.F64(&s.Q)
+	c.F64(&s.P)
+	c.F64(&s.MaxQ)
+	c.F64(&s.SumQ)
+	wal.Int(c, &s.Rounds)
+	c.F64(&s.DriftSum)
+	c.F64(&s.LastL)
+	c.Bool(&s.Initialized)
 }
 
-func encodeUserMetrics(e *wal.Encoder, u *metrics.UserState) {
-	e.I64(int64(u.User))
-	e.I64(int64(u.Arrived))
-	e.I64(int64(u.ClickedTotal))
-	e.I64(int64(u.Delivered))
-	e.I64(u.DeliveredBytes)
-	e.F64(u.UtilitySum)
-	e.F64(u.TrueUtilitySum)
-	e.I64(int64(u.ClickedAndDelivered))
-	e.I64(int64(u.DeliveredBeforeClick))
-	e.F64(u.EnergyJ)
-	e.I64(int64(u.DelayRoundsSum))
-	e.U32(uint32(len(u.LevelCounts)))
-	for _, lc := range u.LevelCounts {
-		e.I64(int64(lc.Level))
-		e.I64(int64(lc.Count))
-	}
-	e.I64(int64(u.TransferFailures))
-	e.I64(int64(u.RetriedDeliveries))
-	e.I64(int64(u.DegradedDeliveries))
-	e.I64(int64(u.Dropped))
-	e.F64(u.WastedEnergyJ)
+func brokerStateFields(c *wal.Codec, bs *pubsub.BrokerState) {
+	c.U64(&bs.Published)
+	c.U64(&bs.Delivered)
+	wal.Slice(c, &bs.Pending, 28, "pending buffers", func(c *wal.Codec, p *pubsub.PendingState) {
+		topicFields(c, &p.Topic)
+		wal.Int(c, &p.User)
+		wal.Slice(c, &p.Items, 8, "pending items", itemFields)
+	})
 }
 
-func decodeUserMetrics(d *wal.Decoder) metrics.UserState {
-	u := metrics.UserState{
-		User:                 notif.UserID(d.I64()),
-		Arrived:              int(d.I64()),
-		ClickedTotal:         int(d.I64()),
-		Delivered:            int(d.I64()),
-		DeliveredBytes:       d.I64(),
-		UtilitySum:           d.F64(),
-		TrueUtilitySum:       d.F64(),
-		ClickedAndDelivered:  int(d.I64()),
-		DeliveredBeforeClick: int(d.I64()),
-		EnergyJ:              d.F64(),
-		DelayRoundsSum:       int(d.I64()),
-	}
-	n := d.Count(16, "level counts")
-	u.LevelCounts = make([]metrics.LevelCount, 0, n)
-	for i := 0; i < n; i++ {
-		u.LevelCounts = append(u.LevelCounts, metrics.LevelCount{Level: int(d.I64()), Count: int(d.I64())})
-	}
-	u.TransferFailures = int(d.I64())
-	u.RetriedDeliveries = int(d.I64())
-	u.DegradedDeliveries = int(d.I64())
-	u.Dropped = int(d.I64())
-	u.WastedEnergyJ = d.F64()
-	return u
+func collectorStateFields(c *wal.Codec, cs *metrics.CollectorState) {
+	wal.Slice(c, &cs.Users, 16, "metric users", userMetricsFields)
+	wal.Slice(c, &cs.DelaySamples, 8, "delay samples", (*wal.Codec).F64)
+}
+
+func levelCountFields(c *wal.Codec, lc *metrics.LevelCount) {
+	wal.Int(c, &lc.Level)
+	wal.Int(c, &lc.Count)
+}
+
+func userMetricsFields(c *wal.Codec, u *metrics.UserState) {
+	wal.Int(c, &u.User)
+	wal.Int(c, &u.Arrived)
+	wal.Int(c, &u.ClickedTotal)
+	wal.Int(c, &u.Delivered)
+	c.I64(&u.DeliveredBytes)
+	c.F64(&u.UtilitySum)
+	c.F64(&u.TrueUtilitySum)
+	wal.Int(c, &u.ClickedAndDelivered)
+	wal.Int(c, &u.DeliveredBeforeClick)
+	c.F64(&u.EnergyJ)
+	wal.Int(c, &u.DelayRoundsSum)
+	wal.Slice(c, &u.LevelCounts, 16, "level counts", levelCountFields)
+	wal.Int(c, &u.TransferFailures)
+	wal.Int(c, &u.RetriedDeliveries)
+	wal.Int(c, &u.DegradedDeliveries)
+	wal.Int(c, &u.Dropped)
+	c.F64(&u.WastedEnergyJ)
 }

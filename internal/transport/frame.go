@@ -3,8 +3,9 @@
 // TCP, connecting the router tier to the shard-owner nodes and the nodes to
 // each other during shard handoff.
 //
-// Frame layout reuses the internal/wal record framing conventions,
-// little-endian throughout:
+// A frame is an internal/wal record, byte for byte — this package calls
+// wal.WriteFrame, wal.FrameLen and wal.SplitFrame rather than keeping a
+// second implementation — little-endian throughout:
 //
 //	[u32 frameLen] [u64 id] [u8 type] [payload] [u32 crc]
 //
@@ -15,26 +16,29 @@
 // Frame type identifiers are owned by the caller (internal/server defines
 // the cluster RPC set); the transport only frames, checks and routes them.
 // Payload encoding is the caller's business too — in practice the cluster
-// speaks internal/wal's Encoder/Decoder, the same codec the snapshots a
-// handoff ships are written in.
+// speaks internal/wal's Codec, the same codec the snapshots a handoff
+// ships are written in.
 package transport
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-)
 
-// frameHeaderLen is the fixed prefix before the payload: u32 frameLen,
-// u64 id, u8 type — identical to the WAL record header.
-const frameHeaderLen = 4 + 8 + 1
+	"github.com/richnote/richnote/internal/wal"
+)
 
 // MaxFrameLen bounds a single frame. Shard handoff ships whole compacted
 // snapshots in one frame, so the ceiling is generous; anything larger is a
 // framing error, not a bigger buffer.
 const MaxFrameLen = 256 << 20
+
+// readChunk caps what readFrame allocates on the strength of a length
+// prefix alone. Frames up to this size are read into one exact-size
+// buffer; a larger one grows by doubling as its bytes actually arrive, so
+// four bytes from a peer cannot cost the reader MaxFrameLen of memory.
+const readChunk = 4 << 20
 
 // ErrFrameTooLarge rejects frames whose declared length exceeds MaxFrameLen.
 var ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
@@ -42,50 +46,14 @@ var ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
 // ErrFrameCorrupt rejects frames whose CRC does not match their contents.
 var ErrFrameCorrupt = errors.New("transport: frame checksum mismatch")
 
-// putU32/getU32 mirror the WAL codec so the two framings stay byte-level
-// twins; the transport cannot import them (they are unexported there) and
-// four lines of shifts beat exporting an internal detail.
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func putU64(b []byte, v uint64) {
-	putU32(b[0:4], uint32(v))
-	putU32(b[4:8], uint32(v>>32))
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func getU64(b []byte) uint64 {
-	return uint64(getU32(b[0:4])) | uint64(getU32(b[4:8]))<<32
-}
-
 // writeFrame frames and writes one message. The payload is copied into the
 // writer's buffer, so callers may reuse it immediately.
 func writeFrame(w *bufio.Writer, id uint64, typ byte, payload []byte) error {
 	if len(payload) > MaxFrameLen-9 {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
 	}
-	var hdr [frameHeaderLen]byte
-	putU32(hdr[0:4], uint32(9+len(payload)))
-	putU64(hdr[4:12], id)
-	hdr[12] = typ
-	crc := crc32.ChecksumIEEE(hdr[4:frameHeaderLen])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	var foot [4]byte
-	putU32(foot[:], crc)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: write frame: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("transport: write frame: %w", err)
-	}
-	if _, err := w.Write(foot[:]); err != nil {
+	var scratch [wal.FrameHeaderLen + 4]byte
+	if err := wal.WriteFrame(w, &scratch, id, typ, payload); err != nil {
 		return fmt.Errorf("transport: write frame: %w", err)
 	}
 	if err := w.Flush(); err != nil {
@@ -105,21 +73,27 @@ func readFrame(r *bufio.Reader) (id uint64, typ byte, payload []byte, err error)
 		}
 		return 0, 0, nil, fmt.Errorf("transport: read frame length: %w", err)
 	}
-	frameLen := int(getU32(lenBuf[:]))
-	if frameLen < 9 {
+	frameLen, ok := wal.FrameLen(lenBuf[:])
+	if !ok {
 		return 0, 0, nil, fmt.Errorf("%w: declared frame length %d", ErrFrameCorrupt, frameLen)
 	}
 	if frameLen > MaxFrameLen {
 		return 0, 0, nil, fmt.Errorf("%w: declared frame length %d", ErrFrameTooLarge, frameLen)
 	}
-	buf := make([]byte, frameLen+4)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, 0, nil, fmt.Errorf("transport: read frame body: %w", err)
+	want := frameLen + 4 // the CRC footer follows the frame
+	body := make([]byte, min(want, readChunk))
+	for filled := 0; ; {
+		if _, err := io.ReadFull(r, body[filled:]); err != nil {
+			return 0, 0, nil, fmt.Errorf("transport: read frame body: %w", err)
+		}
+		if filled = len(body); filled == want {
+			break
+		}
+		body = append(body, make([]byte, min(want-filled, filled))...)
 	}
-	frame := buf[:frameLen]
-	wantCRC := getU32(buf[frameLen:])
-	if crc32.ChecksumIEEE(frame) != wantCRC {
-		return 0, 0, nil, fmt.Errorf("%w: frame id %d", ErrFrameCorrupt, getU64(frame[0:8]))
+	id, typ, payload, ok = wal.SplitFrame(body)
+	if !ok {
+		return 0, 0, nil, fmt.Errorf("%w: frame id %d", ErrFrameCorrupt, id)
 	}
-	return getU64(frame[0:8]), frame[8], frame[9:], nil
+	return id, typ, payload, nil
 }

@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/richnote/richnote/internal/wal"
 )
 
 // echoHandler answers every frame with type+1 and the payload reversed, so
@@ -57,7 +60,7 @@ func TestFrameCorruptionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	data[frameHeaderLen+2] ^= 0xFF // flip a payload byte; CRC must catch it
+	data[wal.FrameHeaderLen+2] ^= 0xFF // flip a payload byte; CRC must catch it
 	_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
 	if !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("corrupted frame read returned %v, want ErrFrameCorrupt", err)
@@ -86,6 +89,37 @@ func TestFrameSizeLimit(t *testing.T) {
 	_, _, _, err := readFrame(bufio.NewReader(&buf))
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame read returned %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestFrameLengthPrefixIsNotTrustedWithMemory: a peer that declares a
+// 200 MB frame and hangs up must cost the reader no more than readChunk,
+// and a large frame that does arrive must still read back intact through
+// the growing buffer.
+func TestFrameLengthPrefixIsNotTrustedWithMemory(t *testing.T) {
+	prefix := []byte{0, 0, 0, 0, 1, 2, 3} // length prefix + the few bytes sent before the close
+	frameLen := uint32(200 << 20)
+	prefix[0], prefix[1], prefix[2], prefix[3] = byte(frameLen), byte(frameLen>>8), byte(frameLen>>16), byte(frameLen>>24)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(prefix)))
+	runtime.ReadMemStats(&after)
+	if err == nil || errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("truncated 200 MB frame read returned %v, want a body read error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > readChunk+1<<20 {
+		t.Fatalf("a 200 MB length prefix made readFrame allocate %d bytes; the cap is %d", grew, readChunk)
+	}
+
+	payload := bytes.Repeat([]byte("0123456789abcdef"), (3*readChunk+12345)/16)
+	var buf bytes.Buffer
+	if err := writeFrame(bufio.NewWriter(&buf), 9, 3, payload); err != nil {
+		t.Fatal(err)
+	}
+	id, typ, got, err := readFrame(bufio.NewReader(&buf))
+	if err != nil || id != 9 || typ != 3 || !bytes.Equal(got, payload) {
+		t.Fatalf("frame of %d bytes read back as id=%d typ=%d len=%d err=%v", len(payload), id, typ, len(got), err)
 	}
 }
 

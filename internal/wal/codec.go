@@ -84,6 +84,12 @@ func (e *Encoder) Str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
+// Blob appends a length-prefixed byte string, with Str's wire layout.
+func (e *Encoder) Blob(b []byte) {
+	e.U32(uint32(len(b)))
+	e.buf = append(e.buf, b...)
+}
+
 // Time appends a time as (IsZero, UnixNano): the zero time decodes back
 // to exactly time.Time{}, every other time to its UTC instant.
 func (e *Encoder) Time(t time.Time) {
@@ -169,17 +175,23 @@ func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
 // Str reads a length-prefixed string.
-func (d *Decoder) Str() string {
+func (d *Decoder) Str() string { return string(d.prefixed("string")) }
+
+// Blob reads a length-prefixed byte string into a fresh slice.
+func (d *Decoder) Blob() []byte { return append([]byte(nil), d.prefixed("blob")...) }
+
+// prefixed returns the bytes behind a u32 length prefix, aliasing the
+// decode buffer.
+func (d *Decoder) prefixed(what string) []byte {
 	n := d.U32()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if int64(n) > int64(d.Remaining()) {
-		d.fail("string")
-		return ""
+		d.fail(what)
+		return nil
 	}
-	b := d.take(int(n), "string")
-	return string(b)
+	return d.take(int(n), what)
 }
 
 // Time reads a time written by Encoder.Time.
@@ -207,4 +219,204 @@ func (d *Decoder) Count(minElemSize int, what string) int {
 		return 0
 	}
 	return int(n)
+}
+
+// Codec runs one field description in either direction. A type's bytes
+// are defined by a single function
+//
+//	func xFields(c *wal.Codec, v *X) { c.U64(&v.A); c.Str(&v.B); ... }
+//
+// which writes v when c encodes and fills v when c decodes, so a writer
+// and a reader that disagree about a layout cannot be expressed. The zero
+// value encodes into its own reusable buffer (Reset/Bytes, as Encoder);
+// DecodeFrom makes one that decodes. Encoding only ever reads through the
+// pointers, so a value shared between goroutines may be encoded
+// concurrently.
+type Codec struct {
+	enc      Encoder
+	dec      Decoder
+	decoding bool
+}
+
+// DecodeFrom returns a Codec that fills values from buf.
+func DecodeFrom(buf []byte) Codec { return Codec{dec: Decoder{buf: buf}, decoding: true} }
+
+// Marshal returns *v's encoding under its one description.
+func Marshal[T any](fields func(*Codec, *T), v *T) []byte {
+	var c Codec
+	fields(&c, v)
+	return c.Bytes()
+}
+
+// Unmarshal fills *v from a payload that must hold exactly one T: a short
+// payload and trailing bytes are both errors (see Finish).
+func Unmarshal[T any](fields func(*Codec, *T), payload []byte, what string, v *T) error {
+	c := DecodeFrom(payload)
+	fields(&c, v)
+	return c.Finish(what)
+}
+
+// Decoding reports the direction: descriptions put their read-only side
+// effects (installing a decoded value somewhere) behind it.
+func (c *Codec) Decoding() bool { return c.decoding }
+
+// Reset empties the encode buffer, keeping capacity.
+func (c *Codec) Reset() { c.enc.Reset() }
+
+// Bytes returns the encoded buffer, valid until the next Reset.
+func (c *Codec) Bytes() []byte { return c.enc.Bytes() }
+
+// Err returns the first decode failure, or nil.
+func (c *Codec) Err() error { return c.dec.err }
+
+// Fail latches a semantic decode failure (a bad version byte, say) unless
+// an earlier one is already latched; later reads yield zero values. A nil
+// err is no failure.
+func (c *Codec) Fail(err error) {
+	if c.dec.err == nil {
+		c.dec.err = err
+	}
+}
+
+// Finish ends a decode: the latched failure if any, else an error when
+// bytes remain unread — a payload is exactly one value, never a value
+// plus garbage. Always nil when encoding.
+func (c *Codec) Finish(what string) error {
+	if c.dec.err != nil {
+		return fmt.Errorf("decoding %s: %w", what, c.dec.err)
+	}
+	if n := c.dec.Remaining(); n != 0 {
+		return fmt.Errorf("decoding %s: %w: %d trailing bytes", what, ErrDecode, n)
+	}
+	return nil
+}
+
+// U8 runs one byte.
+func (c *Codec) U8(v *uint8) {
+	if c.decoding {
+		*v = c.dec.U8()
+	} else {
+		c.enc.U8(*v)
+	}
+}
+
+// U32 runs a little-endian uint32.
+func (c *Codec) U32(v *uint32) {
+	if c.decoding {
+		*v = c.dec.U32()
+	} else {
+		c.enc.U32(*v)
+	}
+}
+
+// U64 runs a little-endian uint64.
+func (c *Codec) U64(v *uint64) {
+	if c.decoding {
+		*v = c.dec.U64()
+	} else {
+		c.enc.U64(*v)
+	}
+}
+
+// I64 runs an int64 as its two's-complement bits.
+func (c *Codec) I64(v *int64) {
+	if c.decoding {
+		*v = c.dec.I64()
+	} else {
+		c.enc.I64(*v)
+	}
+}
+
+// F64 runs a float64 as its IEEE-754 bits.
+func (c *Codec) F64(v *float64) {
+	if c.decoding {
+		*v = c.dec.F64()
+	} else {
+		c.enc.F64(*v)
+	}
+}
+
+// Bool runs a bool as one byte.
+func (c *Codec) Bool(v *bool) {
+	if c.decoding {
+		*v = c.dec.Bool()
+	} else {
+		c.enc.Bool(*v)
+	}
+}
+
+// Str runs a length-prefixed string.
+func (c *Codec) Str(v *string) {
+	if c.decoding {
+		*v = c.dec.Str()
+	} else {
+		c.enc.Str(*v)
+	}
+}
+
+// Blob runs a length-prefixed byte string — Str's wire layout without the
+// string conversions; decoding copies once, into a fresh slice.
+func (c *Codec) Blob(v *[]byte) {
+	if c.decoding {
+		*v = c.dec.Blob()
+	} else {
+		c.enc.Blob(*v)
+	}
+}
+
+// Time runs a time as (IsZero, UnixNano).
+func (c *Codec) Time(v *time.Time) {
+	if c.decoding {
+		*v = c.dec.Time()
+	} else {
+		c.enc.Time(*v)
+	}
+}
+
+// Count runs an element count: u32(*n) when encoding, Decoder.Count's
+// guarded read when decoding — minElemSize is the smallest encoding of
+// one element, so a corrupt count cannot provoke a huge allocation.
+func (c *Codec) Count(n *int, minElemSize int, what string) {
+	if c.decoding {
+		*n = c.dec.Count(minElemSize, what)
+	} else {
+		c.enc.U32(uint32(*n))
+	}
+}
+
+// Int runs a named integer field that rides as an i64.
+func Int[T ~int | ~int64](c *Codec, v *T) {
+	if c.decoding {
+		*v = T(c.dec.I64())
+	} else {
+		c.enc.I64(int64(*v))
+	}
+}
+
+// IntU32 runs a non-negative int field that rides as a u32. Decoding
+// never yields a negative int, whatever the platform's int width.
+func (c *Codec) IntU32(v *int) {
+	if !c.decoding {
+		c.enc.U32(uint32(*v))
+		return
+	}
+	u := c.dec.U32()
+	if *v = int(u); *v < 0 {
+		*v = 0
+		c.Fail(fmt.Errorf("%w: u32 value %d overflows int", ErrDecode, u))
+	}
+}
+
+// Slice runs a counted sequence: the count (guarded by minElemSize when
+// decoding, see Count), then elem over every element in order. Decoding
+// always yields a non-nil slice.
+func Slice[T any](c *Codec, s *[]T, minElemSize int, what string, elem func(*Codec, *T)) {
+	n := len(*s)
+	c.Count(&n, minElemSize, what)
+	if c.decoding {
+		*s = make([]T, n)
+	}
+	for i := range *s {
+		elem(c, &(*s)[i])
+	}
 }

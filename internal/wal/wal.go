@@ -8,10 +8,13 @@
 //	[u32 frameLen] [u64 seq] [u8 type] [payload] [u32 crc]
 //
 // frameLen counts seq+type+payload (9 + len(payload)); crc is IEEE CRC-32
-// over exactly those bytes. Sequence numbers are assigned by the writer,
-// increase monotonically and survive log compaction (Reset), which is what
-// lets recovery skip records a snapshot already covers after a crash
-// between snapshot write and log truncation.
+// over exactly those bytes. This is the system's only framing: WriteFrame,
+// FrameLen and SplitFrame below implement it once, for the log here and
+// for internal/transport's wire frames (whose id rides in the seq slot).
+// Sequence numbers are assigned by the writer, increase monotonically and
+// survive log compaction (Reset), which is what lets recovery skip records
+// a snapshot already covers after a crash between snapshot write and log
+// truncation.
 //
 // The durability/consistency contract is prefix semantics: a crash loses
 // an un-synced suffix of records, never a middle record, and recovery
@@ -32,9 +35,51 @@ import (
 // Record type identifiers are owned by the caller; the log only frames
 // them. Type 0 is reserved as invalid.
 
-// frameHeaderLen is the fixed prefix before the payload: u32 frameLen,
-// u64 seq, u8 type.
-const frameHeaderLen = 4 + 8 + 1
+// FrameHeaderLen is the fixed prefix before the payload: u32 frameLen,
+// u64 seq (or request id), u8 type.
+const FrameHeaderLen = 4 + 8 + 1
+
+// frameMinLen is the smallest legal frameLen: seq+type, empty payload.
+const frameMinLen = 8 + 1
+
+// WriteFrame frames one (id, type, payload) into bw: header, payload, CRC
+// footer. scratch is the caller's header/footer buffer, so a caller that
+// keeps one (Writer) frames without allocating. The payload is copied
+// into bw's buffer; callers may reuse it immediately.
+//
+// richnote:allocfree
+func WriteFrame(bw *bufio.Writer, scratch *[FrameHeaderLen + 4]byte, id uint64, typ byte, payload []byte) error {
+	hdr, foot := scratch[:FrameHeaderLen], scratch[FrameHeaderLen:]
+	putU32(hdr[0:4], uint32(frameMinLen+len(payload)))
+	putU64(hdr[4:12], id)
+	hdr[12] = typ
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr[4:]), crc32.IEEETable, payload)
+	putU32(foot, crc)
+	if _, err := bw.Write(hdr); err != nil {
+		return err
+	}
+	if _, err := bw.Write(payload); err != nil {
+		return err
+	}
+	_, err := bw.Write(foot)
+	return err
+}
+
+// FrameLen reads a frame's u32 length prefix: the number of bytes
+// (id+type+payload) between the prefix and the CRC footer. ok is false
+// for a length no frame can have.
+func FrameLen(prefix []byte) (frameLen int, ok bool) {
+	frameLen = int(getU32(prefix))
+	return frameLen, frameLen >= frameMinLen
+}
+
+// SplitFrame takes what follows a length prefix — FrameLen bytes and the
+// 4-byte CRC footer — and splits it into id, type and payload (aliasing
+// body). ok is false when the CRC does not match.
+func SplitFrame(body []byte) (id uint64, typ byte, payload []byte, ok bool) {
+	frame, foot := body[:len(body)-4], body[len(body)-4:]
+	return getU64(frame[0:8]), frame[8], frame[9:], crc32.ChecksumIEEE(frame) == getU32(foot)
+}
 
 // SyncPolicy selects when appended records are fsynced to stable storage.
 type SyncPolicy int
@@ -101,8 +146,7 @@ type Writer struct {
 	policy SyncPolicy
 	seq    uint64 // last assigned sequence number
 
-	hdr  [frameHeaderLen]byte
-	foot [4]byte
+	scratch [FrameHeaderLen + 4]byte
 }
 
 // OpenWriter opens (creating if needed) the log at path for appending.
@@ -141,20 +185,7 @@ func (w *Writer) Seq() uint64 { return w.seq }
 // richnote:allocfree
 func (w *Writer) Append(typ byte, payload []byte) (uint64, error) {
 	w.seq++
-	frameLen := uint32(9 + len(payload))
-	putU32(w.hdr[0:4], frameLen)
-	putU64(w.hdr[4:12], w.seq)
-	w.hdr[12] = typ
-	crc := crc32.ChecksumIEEE(w.hdr[4:frameHeaderLen])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	putU32(w.foot[:], crc)
-	if _, err := w.bw.Write(w.hdr[:]); err != nil {
-		return w.seq, fmt.Errorf("wal: append: %w", err)
-	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return w.seq, fmt.Errorf("wal: append: %w", err)
-	}
-	if _, err := w.bw.Write(w.foot[:]); err != nil {
+	if err := WriteFrame(w.bw, &w.scratch, w.seq, typ, payload); err != nil {
 		return w.seq, fmt.Errorf("wal: append: %w", err)
 	}
 	if w.policy == SyncAlways {
@@ -269,13 +300,14 @@ func ReplayFile(path string, fn func(seq uint64, typ byte, payload []byte) error
 	}
 	off := 0
 	for off < len(data) {
-		rest := len(data) - off
-		if rest < 4 {
+		rest := data[off:]
+		if len(rest) < 4 {
 			res.Truncated = true // partial length prefix: lost tail
 			break
 		}
-		frameLen := int(getU32(data[off : off+4]))
-		if frameLen < 9 || rest < 4+frameLen+4 {
+		frameLen, ok := FrameLen(rest)
+		end := 4 + frameLen + 4
+		if !ok || len(rest) < end {
 			// The declared frame does not fit in the remaining bytes: the
 			// record was torn mid-write. By construction a torn write is
 			// the last thing that happened to the file, so this is the
@@ -283,10 +315,9 @@ func ReplayFile(path string, fn func(seq uint64, typ byte, payload []byte) error
 			res.Truncated = true
 			break
 		}
-		frame := data[off+4 : off+4+frameLen]
-		wantCRC := getU32(data[off+4+frameLen : off+4+frameLen+4])
-		if crc32.ChecksumIEEE(frame) != wantCRC {
-			if off+4+frameLen+4 == len(data) {
+		seq, typ, payload, ok := SplitFrame(rest[4:end])
+		if !ok {
+			if end == len(rest) {
 				// The damaged record is the final one: a torn overwrite of
 				// the tail, tolerated like a short tail.
 				res.Truncated = true
@@ -294,14 +325,12 @@ func ReplayFile(path string, fn func(seq uint64, typ byte, payload []byte) error
 			}
 			return res, fmt.Errorf("%w: record at offset %d in %s", ErrCorrupt, off, path)
 		}
-		seq := getU64(frame[0:8])
-		typ := frame[8]
 		if fn != nil {
-			if err := fn(seq, typ, frame[9:]); err != nil {
+			if err := fn(seq, typ, payload); err != nil {
 				return res, err
 			}
 		}
-		off += 4 + frameLen + 4
+		off += end
 		res.GoodSize = int64(off)
 		res.LastSeq = seq
 		res.Records++

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -357,6 +358,112 @@ func TestDecoderCountGuardsAllocation(t *testing.T) {
 	d := NewDecoder(e.Bytes())
 	if n := d.Count(8, "items"); n != 0 || d.Err() == nil {
 		t.Fatalf("Count accepted absurd value: n=%d err=%v", n, d.Err())
+	}
+}
+
+// sample exercises every Codec primitive and helper once.
+type sample struct {
+	A  uint8
+	B  uint32
+	C  uint64
+	D  int64
+	E  float64
+	F  bool
+	G  string
+	H  []byte
+	I  time.Time
+	J  SyncPolicy // a named int riding as i64
+	K  int        // riding as u32
+	L  []string
+	On bool
+	M  uint64 // present only when On
+}
+
+func sampleFields(c *Codec, s *sample) {
+	c.U8(&s.A)
+	c.U32(&s.B)
+	c.U64(&s.C)
+	c.I64(&s.D)
+	c.F64(&s.E)
+	c.Bool(&s.F)
+	c.Str(&s.G)
+	c.Blob(&s.H)
+	c.Time(&s.I)
+	Int(c, &s.J)
+	c.IntU32(&s.K)
+	Slice(c, &s.L, 4, "strings", (*Codec).Str)
+	c.Bool(&s.On)
+	if s.On {
+		c.U64(&s.M)
+	}
+}
+
+// TestCodecOneDescriptionBothWays: a Fields function run through a Codec
+// writes exactly what the Encoder primitives would, reads it back to an
+// equal value, and Finish rejects both a short payload and trailing bytes.
+func TestCodecOneDescriptionBothWays(t *testing.T) {
+	in := sample{
+		A: 7, B: 0xDEADBEEF, C: 1 << 60, D: -42, E: 3.14159, F: true, G: "snapshot", H: []byte{1, 2, 3},
+		I: time.Date(2015, 6, 1, 13, 45, 0, 123, time.UTC), J: SyncNever, K: 65536, L: []string{"a", ""}, On: true, M: 99,
+	}
+	got := Marshal(sampleFields, &in)
+
+	var e Encoder
+	e.U8(in.A)
+	e.U32(in.B)
+	e.U64(in.C)
+	e.I64(in.D)
+	e.F64(in.E)
+	e.Bool(in.F)
+	e.Str(in.G)
+	e.Str(string(in.H)) // Blob has Str's layout
+	e.Time(in.I)
+	e.I64(int64(in.J))
+	e.U32(uint32(in.K))
+	e.U32(2)
+	e.Str("a")
+	e.Str("")
+	e.Bool(true)
+	e.U64(in.M)
+	if !bytes.Equal(got, e.Bytes()) {
+		t.Fatalf("Codec wrote % x, Encoder wrote % x", got, e.Bytes())
+	}
+
+	var out sample
+	if err := Unmarshal(sampleFields, got, "sample", &out); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("decoded %+v, want %+v", out, in)
+	}
+	if err := Unmarshal(sampleFields, append(got[:len(got):len(got)], 0), "sample", &out); !errors.Is(err, ErrDecode) {
+		t.Fatalf("trailing byte: err %v, want ErrDecode", err)
+	}
+	if err := Unmarshal(sampleFields, got[:len(got)-1], "sample", &out); !errors.Is(err, ErrDecode) {
+		t.Fatalf("short payload: err %v, want ErrDecode", err)
+	}
+
+	// A semantic failure latches like a short read: first error wins and
+	// later reads yield zeros.
+	c := DecodeFrom(got)
+	boom := errors.New("boom")
+	c.Fail(boom)
+	c.Fail(errors.New("second"))
+	var a uint8
+	if c.U8(&a); a != 0 || !errors.Is(c.Finish("sample"), boom) {
+		t.Fatalf("after Fail: read %d, Finish %v", a, c.Finish("sample"))
+	}
+}
+
+// TestCodecCountGuardsAllocation: the decode side of Count and Slice
+// refuses a count the remaining bytes cannot back.
+func TestCodecCountGuardsAllocation(t *testing.T) {
+	var e Encoder
+	e.U32(1 << 30)
+	var ss []string
+	c := DecodeFrom(e.Bytes())
+	if Slice(&c, &ss, 4, "strings", (*Codec).Str); len(ss) != 0 || c.Err() == nil {
+		t.Fatalf("Slice accepted an absurd count: len %d, err %v", len(ss), c.Err())
 	}
 }
 
