@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"github.com/richnote/richnote/internal/metrics"
 	"github.com/richnote/richnote/internal/network"
 	"github.com/richnote/richnote/internal/obs"
 	"github.com/richnote/richnote/internal/trace"
@@ -282,5 +284,59 @@ func TestRunNamesBaselinesWithLevel(t *testing.T) {
 	}
 	if rich.Name != "richnote" {
 		t.Fatalf("name %q, want richnote", rich.Name)
+	}
+}
+
+// TestRunReportPinned pins Pipeline.Run's output, value for value, on a
+// small oracle-scored workload under every device discipline a RunConfig
+// can select — including the faults-on path, which no figure CSV covers.
+// The constants were generated by the per-user driver that predates
+// core.Engine; any change to them is a change in scheduling behaviour.
+func TestRunReportPinned(t *testing.T) {
+	p, err := BuildPipeline(PipelineConfig{
+		Trace:  trace.Config{Users: 20, Rounds: 48, Seed: 33},
+		Scorer: ScorerOracle,
+	})
+	if err != nil {
+		t.Fatalf("BuildPipeline: %v", err)
+	}
+	paper := network.PaperMatrix()
+	cases := []struct {
+		name string
+		cfg  RunConfig
+		want string
+	}{
+		{"richnote", RunConfig{Strategy: StrategyRichNote, WeeklyBudgetBytes: 3 * mb, NetworkMatrix: &paper},
+			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:5567 DeliveredBytes:2274813400 UtilitySum:904.3649668920434 TrueUtilitySum:904.3649668920434 ClickedAndDelivered:1728 DeliveredBeforeClick:1600 EnergyJ:18321.422200000117 DelayRoundsSum:2624 LevelCounts:map[1:2617 2:103 3:23 4:1 6:2823] TransferFailures:0 RetriedDeliveries:0 DegradedDeliveries:0 Dropped:0 WastedEnergyJ:0 DelayP50Rounds:0 DelayP95Rounds:3} {Users:20 AvgQMB:5.637944936752319 MaxQMB:160.308837890625 AvgDrift:2.5458082660331547}"},
+		{"fifo", RunConfig{Strategy: StrategyFIFO, FixedLevel: 2, WeeklyBudgetBytes: 3 * mb},
+			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:158 DeliveredBytes:15831600 UtilitySum:10.456976648455496 TrueUtilitySum:10.456976648455496 ClickedAndDelivered:39 DeliveredBeforeClick:11 EnergyJ:1926.5399999999997 DelayRoundsSum:560 LevelCounts:map[2:158] TransferFailures:0 RetriedDeliveries:0 DegradedDeliveries:0 Dropped:0 WastedEnergyJ:0 DelayP50Rounds:4 DelayP95Rounds:5} {Users:0 AvgQMB:0 MaxQMB:0 AvgDrift:0}"},
+		{"util", RunConfig{Strategy: StrategyUtil, WeeklyBudgetBytes: 3 * mb, NetworkMatrix: &paper, MaxDeliveriesPerRound: 2},
+			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:541 DeliveredBytes:108308200 UtilitySum:155.89091055431464 TrueUtilitySum:155.89091055431464 ClickedAndDelivered:321 DeliveredBeforeClick:274 EnergyJ:1902.0273999999997 DelayRoundsSum:397 LevelCounts:map[3:541] TransferFailures:0 RetriedDeliveries:0 DegradedDeliveries:0 Dropped:0 WastedEnergyJ:0 DelayP50Rounds:0 DelayP95Rounds:4} {Users:0 AvgQMB:0 MaxQMB:0 AvgDrift:0}"},
+		{"util-queued", RunConfig{Strategy: StrategyUtil, WeeklyBudgetBytes: 3 * mb, QueuedBaselines: true},
+			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:80 DeliveredBytes:16016000 UtilitySum:31.81697691763742 TrueUtilitySum:31.81697691763742 ClickedAndDelivered:63 DeliveredBeforeClick:14 EnergyJ:1180.3999999999999 DelayRoundsSum:636 LevelCounts:map[3:80] TransferFailures:0 RetriedDeliveries:0 DegradedDeliveries:0 Dropped:0 WastedEnergyJ:0 DelayP50Rounds:7 DelayP95Rounds:19} {Users:0 AvgQMB:0 MaxQMB:0 AvgDrift:0}"},
+		{"util-per-round", RunConfig{Strategy: StrategyUtil, WeeklyBudgetBytes: 50 * mb, PerRoundBudget: true, NetworkMatrix: &paper},
+			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:3020 DeliveredBytes:604604000 UtilitySum:493.0259587788834 TrueUtilitySum:493.0259587788834 ClickedAndDelivered:983 DeliveredBeforeClick:914 EnergyJ:7054.587200000004 DelayRoundsSum:1315 LevelCounts:map[3:3020] TransferFailures:0 RetriedDeliveries:0 DegradedDeliveries:0 Dropped:0 WastedEnergyJ:0 DelayP50Rounds:0 DelayP95Rounds:2} {Users:0 AvgQMB:0 MaxQMB:0 AvgDrift:0}"},
+		{"richnote-dominance", RunConfig{Strategy: StrategyRichNote, WeeklyBudgetBytes: 3 * mb, UseDominance: true},
+			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:5604 DeliveredBytes:16220800 UtilitySum:38.26391133864356 TrueUtilitySum:38.26391133864356 ClickedAndDelivered:1742 DeliveredBeforeClick:1742 EnergyJ:5573.019999999981 DelayRoundsSum:0 LevelCounts:map[1:5455 2:147 3:2] TransferFailures:0 RetriedDeliveries:0 DegradedDeliveries:0 Dropped:0 WastedEnergyJ:0 DelayP50Rounds:0 DelayP95Rounds:0} {Users:20 AvgQMB:0 MaxQMB:0 AvgDrift:12.885931502659457}"},
+		{"richnote-faults", RunConfig{Strategy: StrategyRichNote, WeeklyBudgetBytes: 3 * mb, NetworkMatrix: &paper,
+			Faults:      network.FaultConfig{CellLoss: 0.3, CellDisconnect: 0.1, WifiLoss: 0.05},
+			MaxAttempts: 3, DegradeOnFailure: true},
+			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:5437 DeliveredBytes:2558787400 UtilitySum:1015.4969319438621 TrueUtilitySum:1015.4969319438621 ClickedAndDelivered:1682 DeliveredBeforeClick:1460 EnergyJ:20851.228950000117 DelayRoundsSum:4406 LevelCounts:map[1:2113 2:89 3:29 4:5 5:99 6:3102] TransferFailures:1595 RetriedDeliveries:1087 DegradedDeliveries:218 Dropped:71 WastedEnergyJ:36.53675 DelayP50Rounds:0 DelayP95Rounds:3} {Users:20 AvgQMB:10.134106874465942 MaxQMB:188.36288452148438 AvgDrift:2.1609239051282105}"},
+		{"fifo-faults", RunConfig{Strategy: StrategyFIFO, WeeklyBudgetBytes: 10 * mb, QueuedBaselines: true,
+			Faults:      network.FaultConfig{CellLoss: 0.3, CellDisconnect: 0.1},
+			MaxAttempts: 2},
+			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:279 DeliveredBytes:55855800 UtilitySum:35.58414893991052 TrueUtilitySum:35.58414893991052 ClickedAndDelivered:72 DeliveredBeforeClick:1 EnergyJ:5904.636274999998 DelayRoundsSum:6089 LevelCounts:map[3:279] TransferFailures:189 RetriedDeliveries:91 DegradedDeliveries:0 Dropped:49 WastedEnergyJ:140.24127500000003 DelayP50Rounds:22 DelayP95Rounds:41} {Users:0 AvgQMB:0 MaxQMB:0 AvgDrift:0}"},
+	}
+	for _, tc := range cases {
+		tc.cfg.Workers = 3
+		res, err := p.Run(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// The conversion drops Report's String method so every field prints.
+		type fields metrics.Report
+		if got := fmt.Sprintf("%+v %+v", fields(res.Report), res.Lyapunov); got != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
 	}
 }
