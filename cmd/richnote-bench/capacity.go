@@ -56,9 +56,8 @@ func quickCapacityScale(seed int64) capacityScale {
 	}
 }
 
-// capacityRow is one (mode, users) measurement.
+// capacityRow is one measurement of the ladder.
 type capacityRow struct {
-	mode       string
 	users      int
 	active     int
 	rounds     int
@@ -69,9 +68,8 @@ type capacityRow struct {
 }
 
 // runCapacity measures max sustained users/node at a fixed round interval
-// for the full-scan reference ("before": every round walks every device
-// and publishSnapshot re-aggregates every user) and the event-driven loop
-// ("after": rounds and snapshots are O(dirty)), then writes C1.csv.
+// (rounds and snapshots are O(dirty), so idle residents should be free),
+// then writes C1.csv.
 func runCapacity(outDir string, quick bool, seed int64) error {
 	if seed == 0 {
 		seed = 42
@@ -84,21 +82,19 @@ func runCapacity(outDir string, quick bool, seed int64) error {
 		scale.userLadder, scale.active, scale.rounds, scale.shards, scale.interval)
 
 	var rows []capacityRow
-	for _, mode := range []string{"fullscan", "event"} {
-		for _, users := range scale.userLadder {
-			row, err := runCapacityPoint(scale, mode, users)
-			if err != nil {
-				return err
-			}
-			// Reclaim the previous point's device stacks before measuring
-			// the next one, so a 300k-user heap doesn't tax a 10k run's GC.
-			runtime.GC()
-			rows = append(rows, row)
-			fmt.Printf("  %-8s %7d users: avg round %v, p99 round %v, p99 publish %v, sustained=%v\n",
-				row.mode, row.users, row.avgRound.Round(time.Microsecond),
-				row.p99Round.Round(time.Microsecond), row.p99Publish.Round(time.Microsecond),
-				row.sustained)
+	for _, users := range scale.userLadder {
+		row, err := runCapacityPoint(scale, users)
+		if err != nil {
+			return err
 		}
+		// Reclaim the previous point's device stacks before measuring
+		// the next one, so a 300k-user heap doesn't tax a 10k run's GC.
+		runtime.GC()
+		rows = append(rows, row)
+		fmt.Printf("  %7d users: avg round %v, p99 round %v, p99 publish %v, sustained=%v\n",
+			row.users, row.avgRound.Round(time.Microsecond),
+			row.p99Round.Round(time.Microsecond), row.p99Publish.Round(time.Microsecond),
+			row.sustained)
 	}
 
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
@@ -110,31 +106,29 @@ func runCapacity(outDir string, quick bool, seed int64) error {
 	}
 
 	fmt.Println()
-	for _, mode := range []string{"fullscan", "event"} {
-		max := 0
-		for _, r := range rows {
-			if r.mode == mode && r.sustained && r.users > max {
-				max = r.users
-			}
+	max := 0
+	for _, r := range rows {
+		if r.sustained && r.users > max {
+			max = r.users
 		}
-		fmt.Printf("max sustained users/node (%s): %d\n", mode, max)
 	}
-	if flat := latencyFlatness(rows, "event"); flat > 0 {
-		fmt.Printf("event-mode p99 round latency growth across a %.0fx idle-user increase: %.2fx\n",
-			float64(scale.userLadder[len(scale.userLadder)-1])/float64(scale.userLadder[0]), flat)
+	fmt.Printf("max sustained users/node: %d\n", max)
+	if first := rows[0].p99Round; first > 0 {
+		fmt.Printf("p99 round latency growth across a %.0fx idle-user increase: %.2fx\n",
+			float64(scale.userLadder[len(scale.userLadder)-1])/float64(scale.userLadder[0]),
+			float64(rows[len(rows)-1].p99Round)/float64(first))
 	}
 	fmt.Printf("CSV written to %s\n", path)
 	return nil
 }
 
-// runCapacityPoint drives one server configuration through the sparse
-// workload and measures round and publish latencies.
-func runCapacityPoint(scale capacityScale, mode string, users int) (capacityRow, error) {
+// runCapacityPoint drives one server through the sparse workload and
+// measures round and publish latencies.
+func runCapacityPoint(scale capacityScale, users int) (capacityRow, error) {
 	m := network.PaperMatrix()
 	cfg := server.Config{
-		Shards:        scale.shards,
-		Seed:          scale.seed,
-		ForceFullScan: mode == "fullscan",
+		Shards: scale.shards,
+		Seed:   scale.seed,
 		Default: server.UserConfig{
 			NetworkMatrix:     &m,
 			WeeklyBudgetBytes: 1 << 30,
@@ -192,12 +186,12 @@ func runCapacityPoint(scale capacityScale, mode string, users int) (capacityRow,
 				pubLat = append(pubLat, time.Since(t0))
 			}
 			if err != nil {
-				return capacityRow{}, fmt.Errorf("%s/%d users: publish: %w", mode, users, err)
+				return capacityRow{}, fmt.Errorf("%d users: publish: %w", users, err)
 			}
 		}
 		t0 := time.Now()
 		if err := s.Tick(ctx); err != nil {
-			return capacityRow{}, fmt.Errorf("%s/%d users: tick %d: %w", mode, users, r, err)
+			return capacityRow{}, fmt.Errorf("%d users: tick %d: %w", users, r, err)
 		}
 		if measured {
 			roundLat = append(roundLat, time.Since(t0))
@@ -209,7 +203,6 @@ func runCapacityPoint(scale capacityScale, mode string, users int) (capacityRow,
 		sum += d
 	}
 	row := capacityRow{
-		mode:       mode,
 		users:      users,
 		active:     scale.active,
 		rounds:     scale.rounds,
@@ -235,30 +228,13 @@ func percentileDuration(samples []time.Duration, p float64) time.Duration {
 	return sorted[rank]
 }
 
-// latencyFlatness returns p99(top of ladder) / p99(bottom of ladder) for
-// a mode, the "does latency stay flat as idle users grow" number.
-func latencyFlatness(rows []capacityRow, mode string) float64 {
-	var first, last time.Duration
-	for _, r := range rows {
-		if r.mode != mode {
-			continue
-		}
-		if first == 0 {
-			first = r.p99Round
-		}
-		last = r.p99Round
-	}
-	if first == 0 {
-		return 0
-	}
-	return float64(last) / float64(first)
-}
-
+// renderCapacityCSV keeps the mode column the file has always had; the
+// only mode left is the event-driven loop.
 func renderCapacityCSV(rows []capacityRow) string {
 	out := "mode,users,active_per_round,rounds,avg_round_us,p99_round_us,p99_publish_us,sustained\n"
 	for _, r := range rows {
-		out += fmt.Sprintf("%s,%d,%d,%d,%d,%d,%d,%t\n",
-			r.mode, r.users, r.active, r.rounds,
+		out += fmt.Sprintf("event,%d,%d,%d,%d,%d,%d,%t\n",
+			r.users, r.active, r.rounds,
 			r.avgRound.Microseconds(), r.p99Round.Microseconds(),
 			r.p99Publish.Microseconds(), r.sustained)
 	}

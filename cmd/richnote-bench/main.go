@@ -9,8 +9,7 @@
 //
 // The -capacity mode instead runs the serving-capacity benchmark
 // (DESIGN.md §14): max sustained users per node at a fixed round interval
-// under a sparse workload, comparing the event-driven round loop against
-// the full-scan reference, written to C1.csv:
+// under a sparse workload, written to C1.csv:
 //
 //	richnote-bench -capacity [-quick] [-seed N] [-out DIR]
 package main
@@ -47,7 +46,7 @@ func run() error {
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		prom    = flag.Bool("prom", false, "also print the Prometheus exposition of one paper-default RichNote run")
-		capac   = flag.Bool("capacity", false, "run the serving-capacity benchmark (event-driven vs full-scan) instead of the paper experiments")
+		capac   = flag.Bool("capacity", false, "run the serving-capacity benchmark instead of the paper experiments")
 	)
 	flag.Parse()
 

@@ -75,7 +75,7 @@ func TestIntegrationPartitionAndRecovery(t *testing.T) {
 // falls back to metadata-only but keeps delivering.
 func TestIntegrationBudgetExhaustionDegradesGracefully(t *testing.T) {
 	l := newTestLive(t)
-	if err := l.AddUser(LiveUserConfig{
+	if err := l.AddUser(UserConfig{
 		User:              1,
 		WeeklyBudgetBytes: 256 << 10, // 256 KB/week
 		NetworkMatrix:     alwaysCell(),

@@ -2,11 +2,8 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
-	"github.com/richnote/richnote/internal/energy"
-	"github.com/richnote/richnote/internal/lyapunov"
 	"github.com/richnote/richnote/internal/media"
 	"github.com/richnote/richnote/internal/metrics"
 	"github.com/richnote/richnote/internal/network"
@@ -14,8 +11,6 @@ import (
 	"github.com/richnote/richnote/internal/pubsub"
 	"github.com/richnote/richnote/internal/sched"
 	"github.com/richnote/richnote/internal/sim"
-	"github.com/richnote/richnote/internal/survey"
-	"github.com/richnote/richnote/internal/trace"
 	"github.com/richnote/richnote/internal/utility"
 )
 
@@ -31,171 +26,58 @@ type LiveConfig struct {
 	// Generator builds presentation ladders; defaults to the paper's
 	// six-level audio generator with Equation 8 utilities.
 	Generator media.Generator
-	// OnDelivery, when set, observes every delivered notification.
+	// OnDelivery, when set, observes every delivered notification, ordered
+	// by round and, within a round, by ascending user.
 	OnDelivery func(notif.Delivery)
 	// Seed drives per-user randomness.
 	Seed int64
 }
 
-// LiveUserConfig registers one device with the live service.
-type LiveUserConfig struct {
-	User              notif.UserID
-	Strategy          StrategyKind
-	FixedLevel        int
-	WeeklyBudgetBytes int64
-	// V and KappaJ tune RichNote's controller; zero selects defaults.
-	V      float64
-	KappaJ float64
-	// NetworkMatrix defaults to the paper's WIFI/CELL/OFF model.
-	NetworkMatrix *network.Matrix
-	StartState    network.State
-}
-
-// Live is a kernel-driven notification service: publications enter through
-// the pub/sub broker, are enriched, queued on per-user devices and
-// delivered by the round scheduler.
+// Live is a kernel-driven notification service: one Engine on the
+// sim.Kernel clock. Publications enter through the engine's pub/sub
+// broker, are enriched, queued on per-user devices and delivered by the
+// round scheduler.
 type Live struct {
-	cfg      LiveConfig
-	kernel   *sim.Kernel
-	broker   *pubsub.Broker
-	enricher *utility.Enricher
-	col      *metrics.Collector
-
-	devices map[notif.UserID]*sched.Device
-	inbox   map[notif.UserID][]sched.Queued
-	round   int
+	kernel *sim.Kernel
+	eng    *Engine
 }
 
 // NewLive validates the configuration and builds the service.
 func NewLive(cfg LiveConfig) (*Live, error) {
-	if cfg.Epoch.IsZero() {
-		cfg.Epoch = time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
-	}
-	if cfg.RoundLen <= 0 {
-		cfg.RoundLen = time.Hour
-	}
-	if cfg.Scorer == nil {
-		cfg.Scorer = utility.ConstantScorer{Value: 0.5}
-	}
-	if cfg.Generator == nil {
-		g, err := media.NewAudioGenerator(media.AudioConfig{Utility: survey.Equation8})
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		cfg.Generator = g
-	}
-	enricher, err := utility.NewEnricher(cfg.Scorer, cfg.Generator)
+	enricher, err := NewEnricher(cfg.Scorer, cfg.Generator)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
-	return &Live{
-		cfg:      cfg,
-		kernel:   sim.NewKernel(cfg.Epoch),
-		broker:   pubsub.NewBroker(),
-		enricher: enricher,
-		col:      metrics.NewCollector(),
-		devices:  make(map[notif.UserID]*sched.Device),
-		inbox:    make(map[notif.UserID][]sched.Queued),
-	}, nil
+	eng := NewEngine(EngineConfig{
+		Epoch:      cfg.Epoch,
+		RoundLen:   cfg.RoundLen,
+		Seed:       cfg.Seed,
+		Enricher:   enricher,
+		OnDelivery: cfg.OnDelivery,
+	}, sim.NewRNG)
+	return &Live{kernel: sim.NewKernel(eng.cfg.Epoch), eng: eng}, nil
 }
 
-// Broker exposes the underlying pub/sub broker for subscription management.
-func (l *Live) Broker() *pubsub.Broker { return l.broker }
-
 // Collector exposes the running metrics.
-func (l *Live) Collector() *metrics.Collector { return l.col }
+func (l *Live) Collector() *metrics.Collector { return l.eng.Collector() }
 
 // Round returns the next round index to execute.
-func (l *Live) Round() int { return l.round }
+func (l *Live) Round() int { return l.eng.Round() }
 
-// ErrDuplicateUser is returned when a user is registered twice.
-var ErrDuplicateUser = errors.New("core: user already registered")
-
-// AddUser registers a device for the user.
-func (l *Live) AddUser(cfg LiveUserConfig) error {
-	if _, dup := l.devices[cfg.User]; dup {
-		return fmt.Errorf("%w: %d", ErrDuplicateUser, cfg.User)
+// AddUser registers a device for the user. The weekly budget must be
+// stated: a live device has no default plan.
+func (l *Live) AddUser(cfg UserConfig) error {
+	if cfg.WeeklyBudgetBytes <= 0 {
+		return errors.New("core: weekly budget must be positive")
 	}
-	if cfg.Strategy == 0 {
-		cfg.Strategy = StrategyRichNote
-	}
-	if cfg.FixedLevel == 0 {
-		cfg.FixedLevel = 3
-	}
-	if cfg.V == 0 {
-		cfg.V = DefaultV
-	}
-	if cfg.KappaJ == 0 {
-		cfg.KappaJ = DefaultKappaJ
-	}
-	if cfg.NetworkMatrix == nil {
-		m := network.PaperMatrix()
-		cfg.NetworkMatrix = &m
-	}
-	if cfg.StartState == 0 {
-		cfg.StartState = network.StateCell
-	}
-
-	userSeed := l.cfg.Seed ^ (int64(cfg.User+1) * 0x9e3779b9)
-	netModel, err := network.NewModel(*cfg.NetworkMatrix, cfg.StartState, sim.NewRNG(userSeed, sim.StreamNetwork))
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	battery, err := energy.NewBattery(energy.BatteryConfig{}, sim.NewRNG(userSeed, sim.StreamEnergy))
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-
-	var strategy sched.Strategy
-	var ctl *lyapunov.Controller
-	switch cfg.Strategy {
-	case StrategyRichNote:
-		ctl, err = lyapunov.New(lyapunov.Config{V: cfg.V, Kappa: cfg.KappaJ})
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		strategy = &sched.RichNote{}
-	case StrategyFIFO:
-		strategy, err = sched.NewFIFO(cfg.FixedLevel)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-	case StrategyUtil:
-		strategy, err = sched.NewUtil(cfg.FixedLevel)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-	default:
-		return fmt.Errorf("core: unknown strategy %d", cfg.Strategy)
-	}
-
-	roundsPerWeek := int(7 * 24 * time.Hour / l.cfg.RoundLen)
-	device, err := sched.NewDevice(sched.DeviceConfig{
-		User:              cfg.User,
-		Strategy:          strategy,
-		WeeklyBudgetBytes: cfg.WeeklyBudgetBytes,
-		RoundsPerWeek:     roundsPerWeek,
-		Epoch:             l.cfg.Epoch,
-		RoundLen:          l.cfg.RoundLen,
-		Network:           netModel,
-		Capacity:          network.DefaultCapacity(),
-		Battery:           battery,
-		Transfer:          energy.DefaultTransferModel(),
-		Controller:        ctl,
-		Collector:         l.col,
-	})
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	l.devices[cfg.User] = device
-	return nil
+	return l.eng.AddUser(cfg)
 }
 
 // Subscribe connects the user's device to a broker topic in round mode:
 // publications buffer in the broker and drain into the device's scheduling
 // queue at the next round boundary.
 func (l *Live) Subscribe(user notif.UserID, topic pubsub.TopicID) error {
-	return l.SubscribeCadence(user, topic, 1)
+	return l.eng.Subscribe(user, topic, 1)
 }
 
 // SubscribeCadence subscribes with a per-topic round cadence: publications
@@ -203,57 +85,20 @@ func (l *Live) Subscribe(user notif.UserID, topic pubsub.TopicID) error {
 // This is the paper's Section II round tuning — frequent friend feeds at
 // cadence 1, infrequent artist/playlist feeds at larger cadences.
 func (l *Live) SubscribeCadence(user notif.UserID, topic pubsub.TopicID, cadence int) error {
-	if _, ok := l.devices[user]; !ok {
-		return fmt.Errorf("core: unknown user %d", user)
-	}
-	return l.broker.SubscribeCadence(user, topic, pubsub.ModeRound, cadence, func(items []notif.Item) {
-		for _, item := range items {
-			item.Recipient = user
-			n := &trace.Notification{Item: item, Round: l.round}
-			rich, err := l.enricher.Enrich(n)
-			if err != nil {
-				continue // malformed publications are dropped, not fatal
-			}
-			l.inbox[user] = append(l.inbox[user], sched.Queued{Rich: rich})
-		}
-	})
+	return l.eng.Subscribe(user, topic, cadence)
 }
 
 // Publish injects a publication on a topic.
 func (l *Live) Publish(topic pubsub.TopicID, item notif.Item) {
-	l.broker.Publish(topic, item)
+	l.eng.Publish(topic, item)
 }
 
-// StepRound executes one round across all devices: the broker drains
-// round-mode subscriptions, inboxes flush into scheduling queues and every
-// device runs Algorithm 2 once.
+// StepRound executes one round: the broker drains round-mode
+// subscriptions, inboxes flush into scheduling queues and every device
+// with work runs Algorithm 2 once. It returns the first device error.
 func (l *Live) StepRound() error {
-	l.broker.EndRoundIndex(l.round)
-	for user, device := range l.devices {
-		if batch := l.inbox[user]; len(batch) > 0 {
-			if err := device.Enqueue(batch); err != nil {
-				return err
-			}
-			l.inbox[user] = nil
-		}
-		res, err := device.RunRound(l.round)
-		if err != nil {
-			return err
-		}
-		if l.cfg.OnDelivery != nil && res.Delivered > 0 {
-			// Deliveries are observable through the collector; the hook
-			// receives a synthetic summary per round for streaming UIs.
-			l.cfg.OnDelivery(notif.Delivery{
-				Recipient:      user,
-				Size:           res.Bytes,
-				EnergyJ:        res.EnergyJ,
-				DeliveredRound: l.round,
-				DeliveredAt:    l.cfg.Epoch.Add(time.Duration(l.round) * l.cfg.RoundLen),
-			})
-		}
-	}
-	l.round++
-	return nil
+	_, err := l.eng.Step()
+	return err
 }
 
 // RunRounds executes n rounds through the event kernel, which keeps the
@@ -263,9 +108,10 @@ func (l *Live) RunRounds(n int) error {
 		return nil
 	}
 	var firstErr error
-	start := time.Duration(l.round) * l.cfg.RoundLen
-	until := time.Duration(l.round+n) * l.cfg.RoundLen
-	err := l.kernel.Every(start, l.cfg.RoundLen, until, func(k *sim.Kernel) {
+	roundLen := l.eng.cfg.RoundLen
+	start := time.Duration(l.Round()) * roundLen
+	until := time.Duration(l.Round()+n) * roundLen
+	err := l.kernel.Every(start, roundLen, until, func(k *sim.Kernel) {
 		if err := l.StepRound(); err != nil && firstErr == nil {
 			firstErr = err
 			k.Stop()
@@ -281,23 +127,10 @@ func (l *Live) RunRounds(n int) error {
 // SetNetwork swaps a user's connectivity model mid-run (e.g. reaching home
 // WiFi or entering flight mode). Queue and budget state persist.
 func (l *Live) SetNetwork(user notif.UserID, matrix network.Matrix, start network.State) error {
-	device, ok := l.devices[user]
-	if !ok {
-		return fmt.Errorf("core: unknown user %d", user)
-	}
-	userSeed := l.cfg.Seed ^ (int64(user+1) * 0x9e3779b9) ^ int64(l.round)
-	model, err := network.NewModel(matrix, start, sim.NewRNG(userSeed, sim.StreamNetwork))
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	return device.SetNetwork(model)
+	return l.eng.SetNetwork(user, matrix, start)
 }
 
 // Device returns the device registered for a user, for inspection.
 func (l *Live) Device(user notif.UserID) (*sched.Device, error) {
-	d, ok := l.devices[user]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown user %d", user)
-	}
-	return d, nil
+	return l.eng.Device(user)
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/richnote/richnote/internal/network"
 	"github.com/richnote/richnote/internal/notif"
 	"github.com/richnote/richnote/internal/pubsub"
+	"github.com/richnote/richnote/internal/sched"
 )
 
 func newTestLive(t *testing.T) *Live {
@@ -25,7 +27,7 @@ func alwaysCell() *network.Matrix {
 
 func addTestUser(t *testing.T, l *Live, user notif.UserID) {
 	t.Helper()
-	if err := l.AddUser(LiveUserConfig{
+	if err := l.AddUser(UserConfig{
 		User:              user,
 		WeeklyBudgetBytes: 50 << 20,
 		NetworkMatrix:     alwaysCell(),
@@ -72,13 +74,13 @@ func TestLiveEndToEndDelivery(t *testing.T) {
 func TestLiveAddUserValidation(t *testing.T) {
 	l := newTestLive(t)
 	addTestUser(t, l, 1)
-	if err := l.AddUser(LiveUserConfig{User: 1, WeeklyBudgetBytes: 1 << 20}); err == nil {
+	if err := l.AddUser(UserConfig{User: 1, WeeklyBudgetBytes: 1 << 20}); err == nil {
 		t.Fatal("duplicate user accepted")
 	}
-	if err := l.AddUser(LiveUserConfig{User: 2}); err == nil {
+	if err := l.AddUser(UserConfig{User: 2}); err == nil {
 		t.Fatal("zero budget accepted")
 	}
-	if err := l.AddUser(LiveUserConfig{User: 3, WeeklyBudgetBytes: 1 << 20, Strategy: StrategyKind(9)}); err == nil {
+	if err := l.AddUser(UserConfig{User: 3, WeeklyBudgetBytes: 1 << 20, Strategy: StrategyKind(9)}); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }
@@ -206,6 +208,100 @@ func TestLiveSetNetwork(t *testing.T) {
 	if err := l.SetNetwork(42, off, network.StateOff); err == nil {
 		t.Fatal("SetNetwork accepted unknown user")
 	}
+
+	// A user that sat parked for several rounds is caught up on its old
+	// model before the swap, so it ends exactly where a device that was
+	// stepped every round does.
+	var states [2]sched.DeviceState
+	for i, fullScan := range []bool{true, false} {
+		l := newTestLive(t)
+		l.eng.fullScan = fullScan
+		paper := network.PaperMatrix()
+		if err := l.AddUser(UserConfig{User: 2, Strategy: StrategyFIFO, WeeklyBudgetBytes: 50 << 20, NetworkMatrix: &paper}); err != nil {
+			t.Fatalf("AddUser: %v", err)
+		}
+		if err := l.Subscribe(2, topic); err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+		if err := l.RunRounds(4); err != nil {
+			t.Fatalf("RunRounds: %v", err)
+		}
+		if behind := l.Round() - l.eng.users[2].dev.NextRound(); !fullScan && behind < 3 {
+			t.Fatalf("idle baseline device is %d rounds behind the clock, want parked for >= 3", behind)
+		}
+		if err := l.SetNetwork(2, network.AlwaysCellMatrix(), network.StateCell); err != nil {
+			t.Fatalf("SetNetwork: %v", err)
+		}
+		d, err := l.Device(2)
+		if err != nil {
+			t.Fatalf("Device: %v", err)
+		}
+		if d.NextRound() != l.Round() {
+			t.Fatalf("Device returned a device at round %d, clock at %d", d.NextRound(), l.Round())
+		}
+		l.Publish(topic, audioItem(2))
+		if err := l.RunRounds(3); err != nil {
+			t.Fatalf("RunRounds: %v", err)
+		}
+		if d, err = l.Device(2); err != nil {
+			t.Fatalf("Device: %v", err)
+		}
+		states[i] = d.ExportState()
+	}
+	if !reflect.DeepEqual(states[0], states[1]) {
+		t.Fatalf("parked device ended at %+v, stepped-every-round device at %+v", states[1], states[0])
+	}
+}
+
+// TestLiveDeliveryOrderDeterministic: OnDelivery sees every delivery —
+// the real item and level, not a per-round summary — ordered by round
+// and, within a round, by ascending user, the same in every run.
+func TestLiveDeliveryOrderDeterministic(t *testing.T) {
+	run := func() []notif.Delivery {
+		var seen []notif.Delivery
+		l, err := NewLive(LiveConfig{Seed: 3, OnDelivery: func(d notif.Delivery) { seen = append(seen, d) }})
+		if err != nil {
+			t.Fatalf("NewLive: %v", err)
+		}
+		topics := []pubsub.TopicID{
+			{Kind: notif.TopicFriendFeed, Entity: 1},
+			{Kind: notif.TopicArtistPage, Entity: 2},
+		}
+		for u := notif.UserID(1); u <= 50; u++ {
+			addTestUser(t, l, u)
+			if err := l.SubscribeCadence(u, topics[u%2], int(u%2)+1); err != nil {
+				t.Fatalf("Subscribe: %v", err)
+			}
+		}
+		for r := 0; r < 6; r++ {
+			if r < 4 {
+				l.Publish(topics[0], audioItem(int64(10+r)))
+				l.Publish(topics[1], audioItem(int64(20+r)))
+			}
+			if err := l.StepRound(); err != nil {
+				t.Fatalf("StepRound: %v", err)
+			}
+		}
+		return seen
+	}
+	first, second := run(), run()
+	if len(first) != 50*4 {
+		t.Fatalf("observed %d deliveries, want every one of the %d", len(first), 50*4)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("two identical runs observed different delivery sequences")
+	}
+	for i, d := range first {
+		if d.ItemID == 0 || d.Level == 0 {
+			t.Fatalf("delivery %d carries no item or level: %+v", i, d)
+		}
+		if i > 0 {
+			prev := first[i-1]
+			if d.DeliveredRound < prev.DeliveredRound || (d.DeliveredRound == prev.DeliveredRound && d.Recipient < prev.Recipient) {
+				t.Fatalf("delivery %d (round %d, user %d) follows (round %d, user %d)", i, d.DeliveredRound, d.Recipient, prev.DeliveredRound, prev.Recipient)
+			}
+		}
+	}
 }
 
 func TestLiveDeviceAccessor(t *testing.T) {
@@ -221,7 +317,7 @@ func TestLiveDeviceAccessor(t *testing.T) {
 
 func TestLiveBaselineStrategies(t *testing.T) {
 	l := newTestLive(t)
-	for _, cfg := range []LiveUserConfig{
+	for _, cfg := range []UserConfig{
 		{User: 1, Strategy: StrategyFIFO, FixedLevel: 2, WeeklyBudgetBytes: 50 << 20, NetworkMatrix: alwaysCell()},
 		{User: 2, Strategy: StrategyUtil, FixedLevel: 3, WeeklyBudgetBytes: 50 << 20, NetworkMatrix: alwaysCell()},
 	} {

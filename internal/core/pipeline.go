@@ -3,7 +3,8 @@
 // presentation generation and utility scoring, into the per-user
 // round-based scheduler, producing the evaluation metrics of Section V.
 //
-// Two entry points are provided:
+// Engine is the one driver of the paper's round procedure (Algorithm 2);
+// three hosts feed it arrivals and call Step:
 //
 //   - Pipeline/Run: trace-driven batch evaluation. A Pipeline owns the
 //     generated workload, the trained content-utility model and the
@@ -13,6 +14,7 @@
 //     how every figure of the paper is regenerated.
 //   - Live: an event-kernel-driven service wired through the pub/sub
 //     broker, for interactive/streaming use (see the examples).
+//   - internal/server's shard: the online service (WAL, HTTP, cluster).
 package core
 
 import (
@@ -23,7 +25,6 @@ import (
 	"time"
 
 	"github.com/richnote/richnote/internal/energy"
-	"github.com/richnote/richnote/internal/lyapunov"
 	"github.com/richnote/richnote/internal/media"
 	"github.com/richnote/richnote/internal/metrics"
 	"github.com/richnote/richnote/internal/ml/forest"
@@ -364,14 +365,6 @@ func (c *RunConfig) applyDefaults(traceSeed int64) error {
 	if c.StartState == 0 {
 		c.StartState = network.StateCell
 	}
-	if c.Capacity == nil {
-		cap := network.DefaultCapacity()
-		c.Capacity = &cap
-	}
-	if c.Transfer == nil {
-		tm := energy.DefaultTransferModel()
-		c.Transfer = &tm
-	}
 	if c.Seed == 0 {
 		c.Seed = traceSeed
 	}
@@ -421,43 +414,31 @@ func (p *Pipeline) Run(cfg RunConfig) (*RunResult, error) {
 		workers = 1
 	}
 
-	type shardResult struct {
-		collector *metrics.Collector
-		lyap      []lyapunov.Stats
-		err       error
-	}
-	results := make([]shardResult, workers)
+	engines := make([]*Engine, workers)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			col := metrics.NewCollector()
-			var lyapStats []lyapunov.Stats
-			for ui := w; ui < users; ui += workers {
-				st, err := p.runUser(ui, cfg, col)
-				if err != nil {
-					results[w] = shardResult{err: err}
-					return
-				}
-				if st != nil {
-					lyapStats = append(lyapStats, *st)
-				}
-			}
-			results[w] = shardResult{collector: col, lyap: lyapStats}
+			engines[w], errs[w] = p.runWorker(cfg, w, workers)
 		}()
 	}
 	wg.Wait()
 
 	merged := metrics.NewCollector()
 	var summary LyapunovSummary
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
+	for w, eng := range engines {
+		if errs[w] != nil {
+			return nil, errs[w]
 		}
-		merged.Merge(r.collector)
-		for _, st := range r.lyap {
+		merged.Merge(eng.col)
+		for _, u := range eng.order {
+			st, ok := u.dev.ControllerStats()
+			if !ok {
+				continue
+			}
 			summary.Users++
 			summary.AvgQMB += st.AvgQ
 			summary.AvgDrift += st.AvgDrift
@@ -485,90 +466,54 @@ func (p *Pipeline) Run(cfg RunConfig) (*RunResult, error) {
 	}, nil
 }
 
-// runUser simulates one user's full horizon and returns controller stats
-// for RichNote runs.
-func (p *Pipeline) runUser(ui int, cfg RunConfig, col *metrics.Collector) (*lyapunov.Stats, error) {
-	userSeed := cfg.Seed ^ (int64(ui+1) * 0x9e3779b9)
-	netModel, err := network.NewModel(*cfg.NetworkMatrix, cfg.StartState, sim.NewRNG(userSeed, sim.StreamNetwork))
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	battery, err := energy.NewBattery(energy.BatteryConfig{}, sim.NewRNG(userSeed, sim.StreamEnergy))
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	// A nil fault model (faults disabled) keeps the delivery path on the
-	// historical success-only code; the dedicated StreamFaults RNG keeps
-	// fault draws from perturbing the network and battery streams.
-	var faults *network.FaultModel
-	if cfg.Faults.Enabled() {
-		faults, err = network.NewFaultModel(cfg.Faults, sim.NewRNG(userSeed, sim.StreamFaults))
+// runWorker drives one engine over the users w, w+workers, ... for the
+// whole trace: each round's pre-enriched arrivals go into the engine's
+// inboxes, then the engine steps.
+func (p *Pipeline) runWorker(cfg RunConfig, w, workers int) (*Engine, error) {
+	eng := NewEngine(EngineConfig{
+		Epoch:           p.Trace.Epoch,
+		RoundLen:        p.Trace.RoundLen,
+		Seed:            cfg.Seed,
+		Enricher:        p.enricher,
+		Faults:          cfg.Faults,
+		Capacity:        cfg.Capacity,
+		Transfer:        cfg.Transfer,
+		PerRoundBudget:  cfg.PerRoundBudget,
+		DropUndelivered: !cfg.QueuedBaselines,
+		UseDominance:    cfg.UseDominance,
+	}, sim.NewRNG)
+	users := len(p.Trace.Users)
+	for ui := w; ui < users; ui += workers {
+		err := eng.AddUser(UserConfig{
+			User:                  notif.UserID(ui),
+			Strategy:              cfg.Strategy,
+			FixedLevel:            cfg.FixedLevel,
+			WeeklyBudgetBytes:     cfg.WeeklyBudgetBytes,
+			V:                     cfg.V,
+			KappaJ:                cfg.KappaJ,
+			NetworkMatrix:         cfg.NetworkMatrix,
+			StartState:            cfg.StartState,
+			MaxDeliveriesPerRound: cfg.MaxDeliveriesPerRound,
+			MaxAttempts:           cfg.MaxAttempts,
+			DegradeOnFailure:      cfg.DegradeOnFailure,
+		})
 		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-
-	var strategy sched.Strategy
-	var ctl *lyapunov.Controller
-	switch cfg.Strategy {
-	case StrategyRichNote:
-		ctl, err = lyapunov.New(lyapunov.Config{V: cfg.V, Kappa: cfg.KappaJ})
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		strategy = &sched.RichNote{UseDominance: cfg.UseDominance}
-	case StrategyFIFO:
-		strategy, err = sched.NewFIFO(cfg.FixedLevel)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	case StrategyUtil:
-		strategy, err = sched.NewUtil(cfg.FixedLevel)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown strategy %d", cfg.Strategy)
-	}
-
-	roundsPerWeek := int(7 * 24 * time.Hour / p.Trace.RoundLen)
-	device, err := sched.NewDevice(sched.DeviceConfig{
-		User:                  notif.UserID(ui),
-		Strategy:              strategy,
-		WeeklyBudgetBytes:     cfg.WeeklyBudgetBytes,
-		RoundsPerWeek:         roundsPerWeek,
-		Epoch:                 p.Trace.Epoch,
-		RoundLen:              p.Trace.RoundLen,
-		Network:               netModel,
-		Capacity:              *cfg.Capacity,
-		Battery:               battery,
-		Transfer:              *cfg.Transfer,
-		Controller:            ctl,
-		Collector:             col,
-		Faults:                faults,
-		MaxAttempts:           cfg.MaxAttempts,
-		DegradeOnFailure:      cfg.DegradeOnFailure,
-		MaxDeliveriesPerRound: cfg.MaxDeliveriesPerRound,
-		PerRoundBudget:        cfg.PerRoundBudget,
-		DropUndelivered:       cfg.Strategy != StrategyRichNote && !cfg.QueuedBaselines,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-
-	for round := 0; round < p.Trace.Rounds; round++ {
-		if batch := p.arrivals[ui][round]; len(batch) > 0 {
-			if err := device.Enqueue(batch); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := device.RunRound(round); err != nil {
 			return nil, err
 		}
 	}
-	if ctl != nil {
-		st := ctl.Stats()
-		return &st, nil
+	for round := 0; round < p.Trace.Rounds; round++ {
+		for ui := w; ui < users; ui += workers {
+			if batch := p.arrivals[ui][round]; len(batch) > 0 {
+				if err := eng.Enqueue(notif.UserID(ui), batch); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if _, err := eng.Step(); err != nil {
+			return nil, err
+		}
 	}
-	return nil, nil
+	// Parked devices hold controller stats as of the round they parked in;
+	// settle them to the end of the trace.
+	return eng, eng.Settle()
 }

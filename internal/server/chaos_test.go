@@ -109,7 +109,11 @@ func TestChaosFaultInjectedDelivery(t *testing.T) {
 	}
 	audited := 0
 	for _, sh := range s.shards {
-		for u, dev := range sh.devices {
+		for _, u := range sh.eng.Users() {
+			dev, err := sh.eng.Device(u)
+			if err != nil {
+				t.Fatalf("user %d: %v", u, err)
+			}
 			debited, refunded := dev.BudgetLedger()
 			if refunded > debited {
 				t.Errorf("user %d double-refunded: refunded %f > debited %f", u, refunded, debited)

@@ -86,7 +86,7 @@ func (w dirtyWorkload) drive(t *testing.T, s *Server, from, to int) {
 // counters and retry state matter), the paper's three-state walk, a mix
 // of strategies, and small snapshot intervals so crashes land both on
 // and between compaction boundaries.
-func dirtyConfig(walDir string, fullScan bool) Config {
+func dirtyConfig(walDir string) Config {
 	m := network.PaperMatrix()
 	return Config{
 		Shards:        2,
@@ -94,7 +94,6 @@ func dirtyConfig(walDir string, fullScan bool) Config {
 		WALDir:        walDir,
 		WALFsync:      wal.SyncAlways,
 		SnapshotEvery: 7,
-		ForceFullScan: fullScan,
 		Faults:        network.FaultConfig{CellLoss: 0.2, CellDisconnect: 0.1},
 		Default: UserConfig{
 			NetworkMatrix:     &m,
@@ -108,12 +107,13 @@ func dirtyConfig(walDir string, fullScan bool) Config {
 	}
 }
 
-// TestDirtySetEquivalence is the event-driven acceptance test: over
+// TestDirtySetEquivalence is the durability leg of the event-driven
+// acceptance test (the engine's own leg, event-driven against the
+// every-user reference loop, is core.TestDirtySetEquivalence): over
 // randomized seeded traces (bursty publishes, long idle gaps, faults on)
-// the dirty-set server must export canonical state byte-identical to a
-// full-scan reference running the same script — including across a WAL
-// crash and replay at a random round, which must drive the same
-// dirty-set path.
+// a server crashed at a random round and recovered through WAL replay —
+// which must drive the same dirty-set path — exports canonical state
+// byte-identical to an uninterrupted server running the same script.
 func TestDirtySetEquivalence(t *testing.T) {
 	const nUsers, nRounds = 9, 40
 	for _, seed := range []int64{1, 7331, 902245} {
@@ -121,29 +121,25 @@ func TestDirtySetEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			w := genDirtyWorkload(seed, nUsers, nRounds)
 
-			full, err := New(dirtyConfig("", true))
-			if err != nil {
-				t.Fatal(err)
-			}
-			event, err := New(dirtyConfig("", false))
+			event, err := New(dirtyConfig(""))
 			if err != nil {
 				t.Fatal(err)
 			}
 			dir := t.TempDir()
-			cfg := dirtyConfig(dir, false)
+			cfg := dirtyConfig(dir)
 			crashed, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, s := range []*Server{full, event, crashed} {
+			for _, s := range []*Server{event, crashed} {
 				if err := s.Start(); err != nil {
 					t.Fatal(err)
 				}
 			}
 
-			// Crash the WAL-backed event-driven server at a random round,
-			// restore it, and check the recovered shard state matches what
-			// the crashed process held.
+			// Crash the WAL-backed server at a random round, restore it, and
+			// check the recovered shard state matches what the crashed
+			// process held.
 			crashAt := 5 + rand.New(rand.NewSource(seed^0x5ca1ab1e)).Intn(nRounds-10)
 			w.drive(t, crashed, 0, crashAt)
 			crashed.CrashStop()
@@ -158,113 +154,11 @@ func TestDirtySetEquivalence(t *testing.T) {
 			}
 			w.drive(t, crashed, crashAt, nRounds)
 
-			w.drive(t, full, 0, nRounds)
 			w.drive(t, event, 0, nRounds)
 
-			full.CrashStop()
 			event.CrashStop()
 			crashed.CrashStop()
-
-			fullStates := shardStates(full)
-			compareStates(t, "event-driven vs full-scan", shardStates(event), fullStates)
-			compareStates(t, "crash-recovered event-driven vs full-scan", shardStates(crashed), fullStates)
+			compareStates(t, "crash-recovered vs uninterrupted", shardStates(crashed), shardStates(event))
 		})
-	}
-}
-
-// TestDirtySetInvariant checks the bookkeeping directly: after every
-// round of a bursty run, the live dirty set must cover exactly the
-// non-quiescent-or-inboxed users (modulo quiescent stragglers the next
-// round will park — those may be in the set but never missing from it).
-func TestDirtySetInvariant(t *testing.T) {
-	w := genDirtyWorkload(99, 6, 25)
-	s, err := New(dirtyConfig("", false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Never started: the shard goroutines are not running, so Tick-free
-	// direct driving from the test goroutine is safe (the confined
-	// analyzer exempts tests for exactly this pattern).
-	for r := 0; r < 25; r++ {
-		for _, p := range w.pubs[r] {
-			sh := s.shards[s.ShardFor(p.user)]
-			sh.accept(envelope{topic: p.topic, user: p.user, item: p.item})
-		}
-		for _, sh := range s.shards {
-			if err := sh.runRound(); err != nil {
-				t.Fatalf("round %d: %v", r, err)
-			}
-		}
-		for _, sh := range s.shards {
-			for _, u := range sh.userOrder {
-				needsStep := !sh.devices[u].Quiescent() || len(sh.inbox[u]) > 0
-				if needsStep && !sh.isDirty[u] {
-					t.Fatalf("round %d: user %d needs stepping but is parked", r, u)
-				}
-			}
-			if len(sh.dirty) != len(sh.isDirty) {
-				t.Fatalf("round %d: dirty list (%d) and index (%d) diverged", r, len(sh.dirty), len(sh.isDirty))
-			}
-		}
-	}
-}
-
-// TestStepDirtyZeroAlloc pins the steady-state allocation budget of the
-// event-driven core: with a stable dirty set (always-offline devices
-// holding undeliverable queues), stepDirty — catch-up, inbox flush,
-// Algorithm 2, aggregate refresh, park/keep bookkeeping — must not
-// allocate.
-func TestStepDirtyZeroAlloc(t *testing.T) {
-	off := network.Matrix{
-		{1, 0, 0},
-		{1, 0, 0},
-		{1, 0, 0},
-	}
-	cfg := Config{
-		Shards: 1,
-		Seed:   7,
-		Default: UserConfig{
-			NetworkMatrix:     &off,
-			StartState:        network.StateOff,
-			WeeklyBudgetBytes: 1 << 30,
-		},
-	}
-	for u := 1; u <= 8; u++ {
-		cfg.Users = append(cfg.Users, UserConfig{
-			User:              notif.UserID(u),
-			NetworkMatrix:     &off,
-			StartState:        network.StateOff,
-			WeeklyBudgetBytes: 1 << 30,
-		})
-	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shard goroutine never started; drive the confined path directly.
-	sh := s.shards[0]
-	for u := 1; u <= 8; u++ {
-		sh.accept(envelope{topic: friendTopic(1), user: notif.UserID(u), item: audioItem(u, 99)})
-	}
-	// Warm up: flush the staged publications into queues and let every
-	// scratch buffer reach steady-state capacity. The devices are
-	// permanently offline, so the queues never drain and all 8 users stay
-	// dirty forever.
-	for i := 0; i < 8; i++ {
-		if err := sh.runRound(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(sh.dirty) != 8 {
-		t.Fatalf("dirty set is %d users, want all 8 (offline devices cannot drain)", len(sh.dirty))
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := sh.stepDirty(); err != nil {
-			t.Fatal(err)
-		}
-		sh.round++
-	})
-	if allocs != 0 {
-		t.Fatalf("stepDirty allocated %.1f objects/op in steady state, want 0", allocs)
 	}
 }

@@ -187,26 +187,33 @@ func (v *vals) deviceState(round int, controller bool, queue int, net network.St
 	return s
 }
 
-// goldenUser is one user's share of the golden shard, in the plain
-// exported form the snapshot stores.
-type goldenUser struct {
-	cfg    UserConfig
-	topics []pubsub.TopicID // ascending
-	device sched.DeviceState
-}
-
-// goldenShardState is the whole golden shard: two users (one RichNote with
-// a controller, one FIFO baseline), a non-empty device queue on each, an
-// inbox backlog, two broker pending buffers, collector counters and feeds.
+// goldenShardState is the whole golden shard in the plain exported forms
+// the snapshot stores: two users (one RichNote with a controller, one
+// FIFO baseline), a non-empty device queue on each, an inbox backlog, two
+// broker pending buffers, collector counters and feeds.
 type goldenShardState struct {
 	round                  int
 	backpressured, dropped uint64
 	lastSeq                uint64
-	users                  []goldenUser
-	inbox                  map[notif.UserID][]sched.Queued
+	users                  []core.UserState
+	inbox                  []core.UserQueue
 	broker                 pubsub.BrokerState
 	collector              metrics.CollectorState
-	feeds                  map[notif.UserID][]notif.Delivery
+	feeds                  []userFeed
+}
+
+// goldenStateFields is the test's own description of the v2 state
+// payload, unit by unit over plain structs: the layout shard.stateFields
+// must produce from, and rebuild into, a live engine.
+func goldenStateFields(c *wal.Codec, st *goldenShardState) {
+	wal.Int(c, &st.round)
+	c.U64(&st.backpressured)
+	c.U64(&st.dropped)
+	wal.Slice(c, &st.users, 8, "users", core.UserStateFields)
+	wal.Slice(c, &st.inbox, 12, "inbox users", core.UserQueueFields)
+	core.BrokerStateFields(c, &st.broker)
+	core.CollectorStateFields(c, &st.collector)
+	wal.Slice(c, &st.feeds, 12, "feed users", userFeedFields)
 }
 
 func goldenConfig(walDir string) Config {
@@ -233,24 +240,24 @@ func goldenState() goldenShardState {
 		dropped:       v.u64(),
 		lastSeq:       v.u64(),
 	}
-	st.users = []goldenUser{{
-		cfg: UserConfig{
+	st.users = []core.UserState{{
+		Cfg: UserConfig{
 			User: u1, Strategy: core.StrategyRichNote, FixedLevel: v.int(), WeeklyBudgetBytes: v.i64(),
 			V: v.f64(), KappaJ: v.f64(), NetworkMatrix: &m1, StartState: network.StateCell,
 			MaxDeliveriesPerRound: v.int(), MaxAttempts: v.int(), DegradeOnFailure: true,
 		},
-		topics: []pubsub.TopicID{topicA, topicB},
-		device: v.deviceState(st.round, true, 2, network.StateWifi),
+		Topics: []pubsub.TopicID{topicA, topicB},
+		Device: v.deviceState(st.round, true, 2, network.StateWifi),
 	}, {
-		cfg: UserConfig{
+		Cfg: UserConfig{
 			User: u2, Strategy: core.StrategyFIFO, FixedLevel: v.int(), WeeklyBudgetBytes: v.i64(),
 			V: v.f64(), KappaJ: v.f64(), NetworkMatrix: &m2, StartState: network.StateWifi,
 			MaxDeliveriesPerRound: v.int(), MaxAttempts: v.int(), DegradeOnFailure: true,
 		},
-		topics: []pubsub.TopicID{topicB},
-		device: v.deviceState(st.round, false, 1, network.StateOff),
+		Topics: []pubsub.TopicID{topicB},
+		Device: v.deviceState(st.round, false, 1, network.StateOff),
 	}}
-	st.inbox = map[notif.UserID][]sched.Queued{u2: {v.queued()}}
+	st.inbox = []core.UserQueue{{User: u2, Items: []sched.Queued{v.queued()}}}
 	st.broker = pubsub.BrokerState{
 		Published: v.u64(),
 		Delivered: v.u64(),
@@ -263,41 +270,22 @@ func goldenState() goldenShardState {
 		Users:        []metrics.UserState{v.userMetrics(u1), v.userMetrics(u2)},
 		DelaySamples: []float64{v.f64(), v.f64(), v.f64()},
 	}
-	st.feeds = map[notif.UserID][]notif.Delivery{u1: {v.delivery(), v.delivery()}, u2: {v.delivery()}}
+	st.feeds = []userFeed{
+		{User: u1, Deliveries: []notif.Delivery{v.delivery(), v.delivery()}},
+		{User: u2, Deliveries: []notif.Delivery{v.delivery()}},
+	}
 	return st
 }
 
-// install puts a goldenShardState into a freshly built, never-started
-// shard through the same owner methods recovery uses.
+// install restores a goldenShardState into a freshly built, never-started
+// shard — the engine's users, subscriptions, devices, inboxes, broker and
+// collector through the same walk recovery uses.
 func (st goldenShardState) install(t *testing.T, sh *shard) {
 	t.Helper()
-	sh.round = st.round
-	sh.backpressured.Store(st.backpressured)
-	sh.droppedIngest.Store(st.dropped)
-	for _, u := range st.users {
-		if err := sh.addUser(u.cfg); err != nil {
-			t.Fatal(err)
-		}
-		for _, topic := range u.topics {
-			if err := sh.subscribe(u.cfg.User, topic); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sh.devices[u.cfg.User].RestoreState(u.device); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for u, batch := range st.inbox {
-		sh.inbox[u] = batch
-	}
-	if err := sh.broker.RestoreState(st.broker); err != nil {
+	c := wal.DecodeFrom(wal.Marshal(goldenStateFields, &st))
+	sh.stateFields(&c)
+	if err := c.Finish("golden state"); err != nil {
 		t.Fatal(err)
-	}
-	if err := sh.col.RestoreState(st.collector); err != nil {
-		t.Fatal(err)
-	}
-	for u, feed := range st.feeds {
-		sh.feeds[u] = feed // never started: no reader to lock against
 	}
 	// The snapshot header records the log sequence it supersedes; reopen
 	// the (empty) log so that number is a distinctive one.
@@ -311,40 +299,40 @@ func (st goldenShardState) install(t *testing.T, sh *shard) {
 	sh.log = log
 }
 
-// check asserts a recovered shard holds exactly the golden state, field
-// by field in the plain exported forms.
+// check asserts a recovered shard holds exactly the golden state, unit
+// by unit in the plain exported forms.
 func (st goldenShardState) check(t *testing.T, sh *shard) {
 	t.Helper()
-	if sh.round != st.round || sh.backpressured.Load() != st.backpressured || sh.droppedIngest.Load() != st.dropped {
+	got := goldenShardState{lastSeq: st.lastSeq}
+	if err := wal.Unmarshal(goldenStateFields, sh.stateBytes(), "recovered state", &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.round != st.round || got.backpressured != st.backpressured || got.dropped != st.dropped {
 		t.Errorf("recovered round/backpressured/dropped = %d/%d/%d, want %d/%d/%d",
-			sh.round, sh.backpressured.Load(), sh.droppedIngest.Load(), st.round, st.backpressured, st.dropped)
+			got.round, got.backpressured, got.dropped, st.round, st.backpressured, st.dropped)
 	}
-	if len(sh.userOrder) != len(st.users) {
-		t.Fatalf("recovered %d users, want %d", len(sh.userOrder), len(st.users))
+	if len(got.users) != len(st.users) {
+		t.Fatalf("recovered %d users, want %d", len(got.users), len(st.users))
 	}
-	for _, u := range st.users {
-		id := u.cfg.User
-		if got := sh.userCfgs[id]; !reflect.DeepEqual(got, u.cfg) {
-			t.Errorf("user %d config recovered as %+v, want %+v", id, got, u.cfg)
+	for i, u := range st.users {
+		if !reflect.DeepEqual(got.users[i], u) {
+			t.Errorf("user %d recovered as %+v, want %+v", u.Cfg.User, got.users[i], u)
 		}
-		if got := sortedTopics(sh.subs[id]); !reflect.DeepEqual(got, u.topics) {
-			t.Errorf("user %d topics recovered as %v, want %v", id, got, u.topics)
-		}
-		if got := sh.devices[id].ExportState(); !reflect.DeepEqual(got, u.device) {
-			t.Errorf("user %d device recovered as %+v, want %+v", id, got, u.device)
-		}
-		if got := sh.inbox[id]; len(got)+len(st.inbox[id]) > 0 && !reflect.DeepEqual(got, st.inbox[id]) {
-			t.Errorf("user %d inbox recovered as %+v, want %+v", id, got, st.inbox[id])
-		}
-		if got := sh.Deliveries(id); !reflect.DeepEqual(got, st.feeds[id]) {
-			t.Errorf("user %d feed recovered as %+v, want %+v", id, got, st.feeds[id])
+		if feed := sh.Deliveries(u.Cfg.User); !reflect.DeepEqual(feed, st.feeds[i].Deliveries) {
+			t.Errorf("user %d feed recovered as %+v, want %+v", u.Cfg.User, feed, st.feeds[i].Deliveries)
 		}
 	}
-	if got := sh.broker.ExportState(); !reflect.DeepEqual(got, st.broker) {
-		t.Errorf("broker recovered as %+v, want %+v", got, st.broker)
+	if !reflect.DeepEqual(got.inbox, st.inbox) {
+		t.Errorf("inbox recovered as %+v, want %+v", got.inbox, st.inbox)
 	}
-	if got := sh.col.ExportState(); !reflect.DeepEqual(got, st.collector) {
-		t.Errorf("collector recovered as %+v, want %+v", got, st.collector)
+	if !reflect.DeepEqual(got.broker, st.broker) {
+		t.Errorf("broker recovered as %+v, want %+v", got.broker, st.broker)
+	}
+	if !reflect.DeepEqual(got.collector, st.collector) {
+		t.Errorf("collector recovered as %+v, want %+v", got.collector, st.collector)
+	}
+	if sh.eng.Round() != st.round || sh.eng.Stats().Users != len(st.users) {
+		t.Errorf("engine at round %d with %d users, want %d with %d", sh.eng.Round(), sh.eng.Stats().Users, st.round, len(st.users))
 	}
 }
 
@@ -411,9 +399,8 @@ func TestGoldenRecords(t *testing.T) {
 	}
 	defer s.CrashStop()
 	sh := s.shards[0]
-	sh.round = round + 1 // off the SnapshotEvery grid: logRound commits, no compaction
 	sh.logPublish(env)
-	sh.logRound(round)
+	sh.logRound(round) // round+1 is off the SnapshotEvery grid: commits, no compaction
 	if err := sh.log.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +486,6 @@ func codecCases() []codecCase {
 	name := pong{Name: v.str()}
 
 	st := goldenState()
-	u := st.users[0]
 	cfg := goldenConfig("")
 	return []codecCase{
 		caseOf("pong", "frame_pong.bin", pongFields, name),
@@ -525,11 +511,11 @@ func codecCases() []codecCase {
 		caseOf("snapshot header", "", snapHeaderFields, snapHeader{
 			Magic: snapMagic, Version: snapVersion, Shard: v.int(), Seed: cfg.Seed, Faults: cfg.Faults, LastSeq: st.lastSeq,
 		}),
-		caseOf("snapshot user", "", userStateFields, userState{Cfg: u.cfg, Topics: u.topics, Device: u.device}),
-		caseOf("snapshot inbox", "", userQueueFields, userQueue{User: 12, Items: st.inbox[12]}),
-		caseOf("snapshot broker", "", brokerStateFields, st.broker),
-		caseOf("snapshot collector", "", collectorStateFields, st.collector),
-		caseOf("snapshot feed", "", userFeedFields, userFeed{User: 11, Deliveries: st.feeds[11]}),
+		caseOf("snapshot user", "", core.UserStateFields, st.users[0]),
+		caseOf("snapshot inbox", "", core.UserQueueFields, st.inbox[0]),
+		caseOf("snapshot broker", "", core.BrokerStateFields, st.broker),
+		caseOf("snapshot collector", "", core.CollectorStateFields, st.collector),
+		caseOf("snapshot feed", "", userFeedFields, st.feeds[0]),
 	}
 }
 

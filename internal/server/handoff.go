@@ -121,8 +121,8 @@ func (s *Server) adoptable(id int) (*shard, error) {
 		sh.recycle()
 	}
 	// Safe off-goroutine read: the slot was never owned or started (checked
-	// above), so no shard goroutine has ever touched this map.
-	users := len(sh.devices) //lint:allow confined virgin-slot check precedes any shard goroutine
+	// above), so no shard goroutine has ever touched this engine.
+	users := sh.eng.Stats().Users //lint:allow confined virgin-slot check precedes any shard goroutine
 	if users != 0 {
 		return nil, fmt.Errorf("server: adopt: shard %d slot is not virgin (%d users)", id, users)
 	}

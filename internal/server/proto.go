@@ -3,6 +3,7 @@ package server
 import (
 	"sort"
 
+	"github.com/richnote/richnote/internal/core"
 	"github.com/richnote/richnote/internal/metrics"
 	"github.com/richnote/richnote/internal/notif"
 	"github.com/richnote/richnote/internal/wal"
@@ -249,7 +250,7 @@ func reportFields(c *wal.Codec, r *metrics.Report) {
 		levels = append(levels, metrics.LevelCount{Level: lvl, Count: n})
 	}
 	sort.Slice(levels, func(i, j int) bool { return levels[i].Level < levels[j].Level })
-	wal.Slice(c, &levels, 16, "level counts", levelCountFields)
+	wal.Slice(c, &levels, 16, "level counts", core.LevelCountFields)
 	if c.Decoding() && len(levels) > 0 {
 		r.LevelCounts = make(map[int]int, len(levels))
 		for _, lc := range levels {

@@ -338,6 +338,45 @@ func TestSnapshotsDeepCopy(t *testing.T) {
 	}
 }
 
+// TestCrashRecoveryCountsUnenrichable: a publication of a kind no
+// generator handles is acknowledged, logged and only then rejected by
+// enrichment at the round boundary. It must show up in Dropped — and
+// still do so after a crash, where the count comes back through replay.
+func TestCrashRecoveryCountsUnenrichable(t *testing.T) {
+	cfg := recoveryConfig(1, t.TempDir())
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	image := audioItem(1, 99)
+	image.Kind = notif.KindImage
+	if err := s.Publish(friendTopic(1), 1, image); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Tick(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Dropped(); got != 1 {
+		t.Fatalf("Dropped = %d after one unenrichable publish, want 1", got)
+	}
+	if rep := s.Snapshots()[0].Report; rep.Arrived != 0 {
+		t.Fatalf("unenrichable publish arrived at a device: %+v", rep)
+	}
+	s.CrashStop()
+
+	rec, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.CrashStop()
+	if got := rec.Dropped(); got != 1 {
+		t.Fatalf("Dropped = %d after crash recovery, want 1", got)
+	}
+}
+
 // TestLogPublishZeroAlloc pins the hot-path budget: logging an accepted
 // publish reuses the shard's encoder scratch and the writer's buffers,
 // so the steady state allocates nothing.

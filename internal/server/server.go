@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -35,64 +34,13 @@ import (
 	"github.com/richnote/richnote/internal/network"
 	"github.com/richnote/richnote/internal/notif"
 	"github.com/richnote/richnote/internal/pubsub"
-	"github.com/richnote/richnote/internal/survey"
 	"github.com/richnote/richnote/internal/utility"
 	"github.com/richnote/richnote/internal/wal"
 )
 
 // UserConfig describes one registered device; Config.Default is the
 // template applied to users auto-registered on first publish.
-type UserConfig struct {
-	User notif.UserID
-	// Strategy defaults to RichNote.
-	Strategy core.StrategyKind
-	// FixedLevel is the FIFO/UTIL presentation level; defaults to 3.
-	FixedLevel int
-	// WeeklyBudgetBytes defaults to 100 MB/week.
-	WeeklyBudgetBytes int64
-	// V and KappaJ tune the Lyapunov controller; zero selects the paper
-	// defaults.
-	V      float64
-	KappaJ float64
-	// NetworkMatrix defaults to the paper's WIFI/CELL/OFF model;
-	// StartState defaults to CELL.
-	NetworkMatrix *network.Matrix
-	StartState    network.State
-	// MaxDeliveriesPerRound caps per-round pushes; 0 means unlimited.
-	MaxDeliveriesPerRound int
-	// MaxAttempts bounds failed transfer attempts per item before the
-	// device drops it; 0 retries forever. Only meaningful when the server
-	// injects faults (Config.Faults).
-	MaxAttempts int
-	// DegradeOnFailure lowers a failed item's presentation-level cap one
-	// level per retry, trading richness for delivery probability.
-	DegradeOnFailure bool
-}
-
-func (c *UserConfig) applyDefaults() {
-	if c.Strategy == 0 {
-		c.Strategy = core.StrategyRichNote
-	}
-	if c.FixedLevel == 0 {
-		c.FixedLevel = 3
-	}
-	if c.WeeklyBudgetBytes <= 0 {
-		c.WeeklyBudgetBytes = 100 << 20
-	}
-	if c.V == 0 {
-		c.V = core.DefaultV
-	}
-	if c.KappaJ == 0 {
-		c.KappaJ = core.DefaultKappaJ
-	}
-	if c.NetworkMatrix == nil {
-		m := network.PaperMatrix()
-		c.NetworkMatrix = &m
-	}
-	if c.StartState == 0 {
-		c.StartState = network.StateCell
-	}
-}
+type UserConfig = core.UserConfig
 
 // Config configures the service.
 type Config struct {
@@ -153,14 +101,6 @@ type Config struct {
 	// reduce snapshot I/O.
 	SnapshotEvery int
 
-	// ForceFullScan disables dirty-set scheduling: every round steps every
-	// registered user in ascending order, the pre-event-driven reference
-	// behavior. The two modes produce byte-identical canonical state (the
-	// equivalence tests pin this); full scan exists as the comparison
-	// baseline for those tests and for the capacity benchmark, not for
-	// production use.
-	ForceFullScan bool
-
 	// OwnedShards restricts this process to a subset of the shard space
 	// (cluster node mode, DESIGN.md §13). nil means own everything — the
 	// standalone behavior, bit-identical to a build without cluster
@@ -182,12 +122,6 @@ func (c *Config) applyDefaults() error {
 	if c.RoundEvery < 0 {
 		return fmt.Errorf("server: negative round interval %s", c.RoundEvery)
 	}
-	if c.VirtualRound <= 0 {
-		c.VirtualRound = time.Hour
-	}
-	if c.Epoch.IsZero() {
-		c.Epoch = time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
-	}
 	if c.IngestBuffer <= 0 {
 		c.IngestBuffer = 1024
 	}
@@ -199,16 +133,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.RecentDeliveries <= 0 {
 		c.RecentDeliveries = 32
-	}
-	if c.Scorer == nil {
-		c.Scorer = utility.ConstantScorer{Value: 0.5}
-	}
-	if c.Generator == nil {
-		g, err := media.NewAudioGenerator(media.AudioConfig{Utility: survey.Equation8})
-		if err != nil {
-			return fmt.Errorf("server: %w", err)
-		}
-		c.Generator = g
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -237,10 +161,10 @@ const (
 
 // Server is the sharded delivery service.
 type Server struct {
-	cfg           Config
-	ring          *ring
-	shards        []*shard
-	roundsPerWeek int
+	cfg      Config
+	ring     *ring
+	shards   []*shard
+	enricher *utility.Enricher
 
 	state    atomic.Int32
 	stopOnce sync.Once
@@ -283,21 +207,18 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	enricher, err := utility.NewEnricher(cfg.Scorer, cfg.Generator)
+	enricher, err := core.NewEnricher(cfg.Scorer, cfg.Generator)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	s := &Server{
-		cfg:           cfg,
-		ring:          newRing(cfg.Shards, 0),
-		roundsPerWeek: int(7 * 24 * time.Hour / cfg.VirtualRound),
-		adopted:       make(map[int][]byte),
-	}
-	if s.roundsPerWeek < 1 {
-		s.roundsPerWeek = 1
+		cfg:      cfg,
+		ring:     newRing(cfg.Shards, 0),
+		enricher: enricher,
+		adopted:  make(map[int][]byte),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, newShard(i, s, enricher))
+		s.shards = append(s.shards, newShard(i, s))
 	}
 	// Ownership: nil OwnedShards owns everything (standalone); a list owns
 	// exactly those shards. Everything below — WAL restore, registration,
@@ -317,60 +238,25 @@ func New(cfg Config) (*Server, error) {
 			s.shards[id].owned.Store(true)
 		}
 	}
-	// Restore before registration: a shard with a snapshot rebuilds every
-	// user it knew (including auto-registered ones) from its own stored
-	// configs, replays its log, and re-opens it for appending. The shard
-	// goroutines have not started, so direct mutation is safe here.
-	restored := make(map[notif.UserID]bool)
 	if cfg.WALDir != "" {
 		if err := os.MkdirAll(cfg.WALDir, 0o755); err != nil {
 			return nil, fmt.Errorf("server: wal dir: %w", err)
 		}
-		for _, sh := range s.shards {
-			if !sh.owned.Load() {
-				continue
-			}
-			if err := sh.openWAL(); err != nil {
-				return nil, err
-			}
-			for _, u := range sh.users() {
-				restored[u] = true
-			}
-		}
 	}
-	// Pre-registered users go onto their shard unless a restore already
-	// rebuilt them — the snapshot's accumulated state is authoritative.
-	// Each config entry may claim the restore exemption once, so duplicate
-	// entries in cfg.Users still fail in addUser like they always did.
-	// Users routed to unowned shards are skipped: the owning node
-	// registers them from its own config.
+	// Pre-registered users go onto their shard; users routed to unowned
+	// shards are skipped: the owning node registers them from its own
+	// config.
+	users := make([][]UserConfig, cfg.Shards)
 	for _, uc := range cfg.Users {
-		sh := s.shards[s.ring.shardFor(uc.User)]
+		id := s.ring.shardFor(uc.User)
+		users[id] = append(users[id], uc)
+	}
+	for _, sh := range s.shards {
 		if !sh.owned.Load() {
 			continue
 		}
-		if restored[uc.User] {
-			delete(restored, uc.User)
-			continue
-		}
-		if err := sh.addUser(uc); err != nil {
+		if err := sh.open(users[sh.id]); err != nil {
 			return nil, err
-		}
-		sh.publishSnapshot(0)
-	}
-	// Compact once construction is complete: the fresh snapshot covers the
-	// replayed history and the just-registered users, so recovery never
-	// replays more than one interval and user registrations — which are
-	// snapshotted, never logged — survive a crash before the first
-	// scheduled compaction.
-	if cfg.WALDir != "" {
-		for _, sh := range s.shards {
-			if !sh.owned.Load() {
-				continue
-			}
-			if err := sh.writeSnapshot(); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return s, nil
@@ -607,10 +493,4 @@ func (s *Server) RetryAfter() time.Duration {
 		return s.cfg.RoundEvery
 	}
 	return time.Second
-}
-
-// newSeededRand mirrors the simulator's deterministic seeding for
-// components (battery jitter) that take a bare *rand.Rand.
-func newSeededRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
 }

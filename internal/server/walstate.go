@@ -9,12 +9,9 @@ import (
 	"path/filepath"
 	"slices"
 
-	"github.com/richnote/richnote/internal/lyapunov"
-	"github.com/richnote/richnote/internal/metrics"
+	"github.com/richnote/richnote/internal/core"
 	"github.com/richnote/richnote/internal/network"
 	"github.com/richnote/richnote/internal/notif"
-	"github.com/richnote/richnote/internal/pubsub"
-	"github.com/richnote/richnote/internal/sched"
 	"github.com/richnote/richnote/internal/wal"
 )
 
@@ -89,7 +86,7 @@ func (sh *shard) logRound(completed int) {
 		sh.lastErr = fmt.Errorf("server: wal: %w", err)
 		return
 	}
-	if every := sh.srv.cfg.SnapshotEvery; every > 0 && sh.round%every == 0 {
+	if every := sh.srv.cfg.SnapshotEvery; every > 0 && (completed+1)%every == 0 {
 		if err := sh.writeSnapshot(); err != nil {
 			sh.lastErr = err
 			// Snapshot failed: fall back to syncing the log so this round
@@ -111,12 +108,14 @@ func (sh *shard) logRound(completed int) {
 // truncation leaves stale records in the log, and replay skips them by
 // sequence comparison.
 func (sh *shard) writeSnapshot() error {
-	sh.settleAll()
 	c := &sh.snapEnc
 	c.Reset()
 	h := sh.snapHeader(sh.log.Seq())
 	snapHeaderFields(c, &h)
 	sh.stateFields(c)
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("server: snapshot shard %d: %w", sh.id, err)
+	}
 	crc := crc32.ChecksumIEEE(c.Bytes())
 	c.U32(&crc)
 	buf := c.Bytes()
@@ -165,9 +164,10 @@ func (sh *shard) crashAbort() {
 }
 
 // openWAL restores the shard from its snapshot (if any), replays the log
-// on top, truncates any torn tail and leaves the shard with an open log
-// and a fresh snapshot. Called from New before the shard goroutine starts,
-// so direct state mutation is safe.
+// on top, truncates any torn tail and leaves the shard with an open log.
+// Called before the shard goroutine starts (open, the adopt paths), so
+// direct state mutation is safe; the caller publishes the read-side
+// snapshot.
 func (sh *shard) openWAL() error {
 	snapSeq, err := sh.loadSnapshot()
 	if err != nil {
@@ -194,9 +194,9 @@ func (sh *shard) openWAL() error {
 			if err := c.Finish("round record"); err != nil {
 				return fmt.Errorf("server: wal replay shard %d seq %d: %w", sh.id, seq, err)
 			}
-			if sh.round != want {
+			if at := sh.eng.Round(); at != want {
 				return fmt.Errorf("server: wal replay shard %d: round record %d but shard at round %d (snapshot/log mismatch)",
-					sh.id, want, sh.round)
+					sh.id, want, at)
 			}
 			if err := sh.runRound(); err != nil {
 				return fmt.Errorf("server: wal replay shard %d round %d: %w", sh.id, want, err)
@@ -218,12 +218,6 @@ func (sh *shard) openWAL() error {
 		return err
 	}
 	sh.log = w
-	// New re-compacts every shard (writeSnapshot) once registration is
-	// done: the replayed history AND the pre-registered users are folded
-	// into a fresh snapshot, so a crash loop never replays more than one
-	// interval and a crash before the first compaction cannot lose
-	// registrations (they are never logged, only snapshotted).
-	sh.publishSnapshot(0)
 	return nil
 }
 
@@ -314,39 +308,14 @@ func (sh *shard) loadSnapshot() (uint64, error) {
 // stateBytes returns the shard's canonical state encoding — the exact
 // payload a snapshot would store. Crash-recovery tests compare these byte
 // strings between a recovered shard and an uninterrupted reference.
-// Parked devices are settled to the shard clock first so the encoding is
-// independent of which users the event-driven loop happened to skip.
 func (sh *shard) stateBytes() []byte {
-	sh.settleAll()
 	var c wal.Codec
 	sh.stateFields(&c)
 	return c.Bytes()
 }
 
-// userState, userQueue and userFeed are the per-user units of the state
-// walk, in the plain exported forms the owner methods trade in.
-type userState struct {
-	Cfg    UserConfig
-	Topics []pubsub.TopicID // ascending
-	Device sched.DeviceState
-}
-
-func userStateFields(c *wal.Codec, u *userState) {
-	userConfigFields(c, &u.Cfg)
-	wal.Slice(c, &u.Topics, 16, "topics", topicFields)
-	deviceStateFields(c, &u.Device)
-}
-
-type userQueue struct {
-	User  notif.UserID
-	Items []sched.Queued
-}
-
-func userQueueFields(c *wal.Codec, q *userQueue) {
-	wal.Int(c, &q.User)
-	wal.Slice(c, &q.Items, 8, "inbox items", queuedFields)
-}
-
+// userFeed is one user's recent-delivery feed, the shard's own unit of
+// the state walk.
 type userFeed struct {
 	User       notif.UserID
 	Deliveries []notif.Delivery
@@ -358,72 +327,27 @@ func userFeedFields(c *wal.Codec, f *userFeed) {
 }
 
 // stateFields is the one description of everything in a shard that must
-// survive a crash, in canonical order (users ascending throughout; see
-// each component's ExportState for its own ordering guarantees).
-// Encoding, it exports the live components and writes them; decoding, it
-// reads them and — behind c.Decoding() — rebuilds the shard: devices are
-// re-created from their stored configs (re-seeding their RNG streams),
-// subscriptions re-registered, and every component restored through its
-// own owner method, which requires a freshly constructed shard. Excluded
-// on purpose: wall-clock telemetry (obs.Recorder spans,
-// LastRound/AvgRound) and lastErr, which describe the process, not the
-// schedule. A restore that cannot proceed latches its reason in c
-// (Codec.Fail) and stops installing; the caller's Finish reports it.
+// survive a crash: the engine's walk (core.Engine.StateFields), with the
+// shard's ingest counters in the place snapshot v2 gives them — right
+// after the round — and the recent-delivery feeds after it. Decoding
+// requires a freshly constructed shard. Excluded on purpose: wall-clock
+// telemetry (obs.Recorder spans, LastRound/AvgRound) and lastErr, which
+// describe the process, not the schedule. A restore that cannot proceed
+// latches its reason in c (Codec.Fail) and stops installing; the caller's
+// Finish reports it.
 func (sh *shard) stateFields(c *wal.Codec) {
+	sh.eng.StateFields(c, sh.ingestCounterFields)
+
 	dec := c.Decoding()
-	if dec && len(sh.devices) != 0 {
-		c.Fail(fmt.Errorf("server: restore into shard %d with %d users already registered", sh.id, len(sh.devices)))
-		return
-	}
-	wal.Int(c, &sh.round)
-	backpressured, dropped := sh.backpressured.Load(), sh.droppedIngest.Load()
-	c.U64(&backpressured)
-	c.U64(&dropped)
-	if dec {
-		sh.backpressured.Store(backpressured)
-		sh.droppedIngest.Store(dropped)
-	}
-
-	nUsers := len(sh.userOrder)
-	c.Count(&nUsers, 8, "users")
-	for i := 0; i < nUsers && c.Err() == nil; i++ {
-		var u userState
-		if !dec {
-			id := sh.userOrder[i]
-			u = userState{Cfg: sh.userCfgs[id], Topics: sortedTopics(sh.subs[id]), Device: sh.devices[id].ExportState()}
-		}
-		userStateFields(c, &u)
-		if dec && c.Err() == nil {
-			c.Fail(sh.restoreUser(&u))
-		}
-	}
-
-	var inbox []userQueue
-	if !dec {
-		users := nonEmptyUsers(sh.inbox)
-		inbox = make([]userQueue, 0, len(users))
-		for _, u := range users {
-			inbox = append(inbox, userQueue{User: u, Items: sh.inbox[u]})
-		}
-	}
-	wal.Slice(c, &inbox, 12, "inbox users", userQueueFields)
-
-	var bs pubsub.BrokerState
-	var cs metrics.CollectorState
-	if !dec {
-		bs, cs = sh.broker.ExportState(), sh.col.ExportState()
-	}
-	brokerStateFields(c, &bs)
-	collectorStateFields(c, &cs)
-
 	var feeds []userFeed
 	sh.feedMu.Lock()
 	if !dec {
-		users := nonEmptyUsers(sh.feeds)
-		feeds = make([]userFeed, 0, len(users))
-		for _, u := range users {
-			feeds = append(feeds, userFeed{User: u, Deliveries: sh.feeds[u]})
+		for u, feed := range sh.feeds {
+			if len(feed) > 0 {
+				feeds = append(feeds, userFeed{User: u, Deliveries: feed})
+			}
 		}
+		slices.SortFunc(feeds, func(a, b userFeed) int { return cmp.Compare(a.User, b.User) })
 	}
 	wal.Slice(c, &feeds, 12, "feed users", userFeedFields)
 	if dec && c.Err() == nil {
@@ -432,124 +356,27 @@ func (sh *shard) stateFields(c *wal.Codec) {
 		}
 	}
 	sh.feedMu.Unlock()
-
-	if !dec || c.Err() != nil {
-		return
-	}
-	for _, q := range inbox {
-		sh.inbox[q.User] = q.Items
-	}
-	if err := sh.broker.RestoreState(bs); err != nil {
-		c.Fail(err)
-		return
-	}
-	if err := sh.col.RestoreState(cs); err != nil {
-		c.Fail(err)
-		return
-	}
-	// Derive the event-driven bookkeeping from the restored ground truth:
-	// the dirty set is exactly {¬quiescent ∨ inbox≠∅} and the running
-	// aggregates re-fold from per-device state, so replay drives the same
-	// dirty-set path the crashed process was on.
-	sh.rebuildAgg()
-	sh.rebuildDirty()
 }
 
-// restoreUser is the decode side of one user: register, re-subscribe,
-// restore the device.
-func (sh *shard) restoreUser(u *userState) error {
-	if err := sh.addUser(u.Cfg); err != nil {
-		return err
+func (sh *shard) ingestCounterFields(c *wal.Codec) {
+	backpressured, dropped := sh.backpressured.Load(), sh.droppedIngest.Load()
+	c.U64(&backpressured)
+	c.U64(&dropped)
+	if c.Decoding() {
+		sh.backpressured.Store(backpressured)
+		sh.droppedIngest.Store(dropped)
 	}
-	for _, topic := range u.Topics {
-		if err := sh.subscribe(u.Cfg.User, topic); err != nil {
-			return err
-		}
-	}
-	return sh.devices[u.Cfg.User].RestoreState(u.Device)
-}
-
-// nonEmptyUsers returns the users holding a non-empty entry in m,
-// ascending.
-func nonEmptyUsers[T any](m map[notif.UserID][]T) []notif.UserID {
-	ids := make([]notif.UserID, 0, len(m))
-	for u, v := range m {
-		if len(v) > 0 {
-			ids = append(ids, u)
-		}
-	}
-	slices.Sort(ids)
-	return ids
-}
-
-func sortedTopics(set map[pubsub.TopicID]bool) []pubsub.TopicID {
-	topics := make([]pubsub.TopicID, 0, len(set))
-	for t := range set {
-		topics = append(topics, t)
-	}
-	slices.SortFunc(topics, func(a, b pubsub.TopicID) int {
-		if a.Kind != b.Kind {
-			return int(a.Kind) - int(b.Kind)
-		}
-		return cmp.Compare(a.Entity, b.Entity)
-	})
-	return topics
 }
 
 // --- value descriptions ------------------------------------------------------
-
-func topicFields(c *wal.Codec, t *pubsub.TopicID) {
-	wal.Int(c, &t.Kind)
-	c.I64(&t.Entity)
-}
-
-func itemFields(c *wal.Codec, it *notif.Item) {
-	wal.Int(c, &it.ID)
-	wal.Int(c, &it.Kind)
-	wal.Int(c, &it.Topic)
-	wal.Int(c, &it.Sender)
-	wal.Int(c, &it.Recipient)
-	c.Time(&it.CreatedAt)
-	c.I64(&it.Meta.TrackID)
-	c.I64(&it.Meta.AlbumID)
-	c.I64(&it.Meta.ArtistID)
-	c.F64(&it.Meta.TrackPopularity)
-	c.F64(&it.Meta.AlbumPopularity)
-	c.F64(&it.Meta.ArtistPopularity)
-	wal.Int(c, &it.Meta.Genre)
-	c.Str(&it.Meta.URL)
-	c.F64(&it.TieStrength)
-}
 
 // envelopeFields describes one routed publication. It is both the
 // recPublish log record and the FramePublish request: the router's bytes
 // are the bytes the owning shard logs.
 func envelopeFields(c *wal.Codec, env *envelope) {
-	topicFields(c, &env.topic)
+	core.TopicFields(c, &env.topic)
 	wal.Int(c, &env.user)
-	itemFields(c, &env.item)
-}
-
-func presentationFields(c *wal.Codec, p *notif.Presentation) {
-	wal.Int(c, &p.Level)
-	c.I64(&p.Size)
-	c.F64(&p.Utility)
-	c.F64(&p.DurationSec)
-	wal.Int(c, &p.SampleRateHz)
-	wal.Int(c, &p.BitrateKbps)
-	c.Str(&p.Label)
-}
-
-func queuedFields(c *wal.Codec, q *sched.Queued) {
-	itemFields(c, &q.Rich.Item)
-	c.F64(&q.Rich.ContentUtility)
-	wal.Slice(c, &q.Rich.Presentations, 44, "presentations", presentationFields)
-	wal.Int(c, &q.Rich.ArrivedRound)
-	c.Bool(&q.Clicked)
-	wal.Int(c, &q.ClickRound)
-	c.F64(&q.TrueUc)
-	wal.Int(c, &q.Attempts)
-	wal.Int(c, &q.LevelCap)
+	core.ItemFields(c, &env.item)
 }
 
 func deliveryFields(c *wal.Codec, dl *notif.Delivery) {
@@ -565,94 +392,4 @@ func deliveryFields(c *wal.Codec, dl *notif.Delivery) {
 	wal.Int(c, &dl.ArrivedRound)
 	wal.Int(c, &dl.DeliveredRound)
 	c.Time(&dl.DeliveredAt)
-}
-
-func userConfigFields(c *wal.Codec, cfg *UserConfig) {
-	wal.Int(c, &cfg.User)
-	wal.Int(c, &cfg.Strategy)
-	wal.Int(c, &cfg.FixedLevel)
-	c.I64(&cfg.WeeklyBudgetBytes)
-	c.F64(&cfg.V)
-	c.F64(&cfg.KappaJ)
-	if c.Decoding() {
-		cfg.NetworkMatrix = new(network.Matrix)
-	}
-	for row := range cfg.NetworkMatrix {
-		for col := range cfg.NetworkMatrix[row] {
-			c.F64(&cfg.NetworkMatrix[row][col])
-		}
-	}
-	wal.Int(c, &cfg.StartState)
-	wal.Int(c, &cfg.MaxDeliveriesPerRound)
-	wal.Int(c, &cfg.MaxAttempts)
-	c.Bool(&cfg.DegradeOnFailure)
-}
-
-func deviceStateFields(c *wal.Codec, s *sched.DeviceState) {
-	wal.Slice(c, &s.Queue, 120, "device queue", queuedFields)
-	c.F64(&s.BudgetBase)
-	c.I64(&s.BudgetPendingRounds)
-	c.F64(&s.BudgetDebited)
-	c.F64(&s.BudgetRefunded)
-	c.F64(&s.BatteryLevel)
-	c.U64(&s.BatteryDraws)
-	wal.Int(c, &s.NetworkState)
-	c.U64(&s.NetworkDraws)
-	c.U64(&s.FaultDraws)
-	wal.Int(c, &s.NextRound)
-	c.Bool(&s.HasController)
-	if s.HasController {
-		controllerFields(c, &s.Controller)
-	}
-}
-
-func controllerFields(c *wal.Codec, s *lyapunov.State) {
-	c.F64(&s.Q)
-	c.F64(&s.P)
-	c.F64(&s.MaxQ)
-	c.F64(&s.SumQ)
-	wal.Int(c, &s.Rounds)
-	c.F64(&s.DriftSum)
-	c.F64(&s.LastL)
-	c.Bool(&s.Initialized)
-}
-
-func brokerStateFields(c *wal.Codec, bs *pubsub.BrokerState) {
-	c.U64(&bs.Published)
-	c.U64(&bs.Delivered)
-	wal.Slice(c, &bs.Pending, 28, "pending buffers", func(c *wal.Codec, p *pubsub.PendingState) {
-		topicFields(c, &p.Topic)
-		wal.Int(c, &p.User)
-		wal.Slice(c, &p.Items, 8, "pending items", itemFields)
-	})
-}
-
-func collectorStateFields(c *wal.Codec, cs *metrics.CollectorState) {
-	wal.Slice(c, &cs.Users, 16, "metric users", userMetricsFields)
-	wal.Slice(c, &cs.DelaySamples, 8, "delay samples", (*wal.Codec).F64)
-}
-
-func levelCountFields(c *wal.Codec, lc *metrics.LevelCount) {
-	wal.Int(c, &lc.Level)
-	wal.Int(c, &lc.Count)
-}
-
-func userMetricsFields(c *wal.Codec, u *metrics.UserState) {
-	wal.Int(c, &u.User)
-	wal.Int(c, &u.Arrived)
-	wal.Int(c, &u.ClickedTotal)
-	wal.Int(c, &u.Delivered)
-	c.I64(&u.DeliveredBytes)
-	c.F64(&u.UtilitySum)
-	c.F64(&u.TrueUtilitySum)
-	wal.Int(c, &u.ClickedAndDelivered)
-	wal.Int(c, &u.DeliveredBeforeClick)
-	c.F64(&u.EnergyJ)
-	wal.Int(c, &u.DelayRoundsSum)
-	wal.Slice(c, &u.LevelCounts, 16, "level counts", levelCountFields)
-	wal.Int(c, &u.TransferFailures)
-	wal.Int(c, &u.RetriedDeliveries)
-	wal.Int(c, &u.DegradedDeliveries)
-	wal.Int(c, &u.Dropped)
-	c.F64(&u.WastedEnergyJ)
 }

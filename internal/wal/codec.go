@@ -116,7 +116,7 @@ type Decoder struct {
 // NewDecoder wraps a buffer for decoding.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 
-// Err returns the first decode failure, or nil.
+// Err returns the first latched failure, or nil.
 func (d *Decoder) Err() error { return d.err }
 
 // Remaining returns the number of unread bytes.
@@ -266,12 +266,13 @@ func (c *Codec) Reset() { c.enc.Reset() }
 // Bytes returns the encoded buffer, valid until the next Reset.
 func (c *Codec) Bytes() []byte { return c.enc.Bytes() }
 
-// Err returns the first decode failure, or nil.
+// Err returns the first latched failure, or nil.
 func (c *Codec) Err() error { return c.dec.err }
 
-// Fail latches a semantic decode failure (a bad version byte, say) unless
-// an earlier one is already latched; later reads yield zero values. A nil
-// err is no failure.
+// Fail latches a semantic failure — decoding, a bad version byte, say;
+// encoding, a value the format cannot represent — unless an earlier one
+// is already latched; later reads yield zero values. A nil err is no
+// failure.
 func (c *Codec) Fail(err error) {
 	if c.dec.err == nil {
 		c.dec.err = err
@@ -280,7 +281,7 @@ func (c *Codec) Fail(err error) {
 
 // Finish ends a decode: the latched failure if any, else an error when
 // bytes remain unread — a payload is exactly one value, never a value
-// plus garbage. Always nil when encoding.
+// plus garbage. Encoding, nil unless Fail was called.
 func (c *Codec) Finish(what string) error {
 	if c.dec.err != nil {
 		return fmt.Errorf("decoding %s: %w", what, c.dec.err)
