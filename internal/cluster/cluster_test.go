@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 )
 
 func mkNodes(n int) []Node {
@@ -174,75 +171,46 @@ func TestComputeRejectsBadInput(t *testing.T) {
 }
 
 func TestMembershipDeathAfterThreshold(t *testing.T) {
-	var mu sync.Mutex
-	down := map[string]bool{}
-	probe := func(addr string) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if down[addr] {
-			return errors.New("unreachable")
-		}
-		return nil
-	}
 	peers := mkNodes(3)
-	m := NewMembership(peers, probe, MembershipConfig{Interval: time.Hour, Threshold: 2})
+	m := NewMembership(peers, 2)
 
-	var fired [][]Node
-	m.OnChange(func(live []Node) { fired = append(fired, live) })
-
-	m.CheckNow()
-	if got := m.Live(); len(got) != 3 {
-		t.Fatalf("live = %d, want 3", len(got))
+	live, died := m.Observe(nil)
+	if len(live) != 3 || len(died) != 0 {
+		t.Fatalf("clean pass: live = %v, died = %v, want 3 and none", live, died)
 	}
 
-	mu.Lock()
-	down[peers[1].Addr] = true
-	mu.Unlock()
-
-	m.CheckNow() // failure 1 of 2: still live
-	if got := m.Live(); len(got) != 3 {
-		t.Fatalf("after one failure live = %d, want 3 (threshold 2)", len(got))
-	}
-	if len(fired) != 0 {
-		t.Fatalf("OnChange fired below threshold: %v", fired)
+	down := map[string]bool{peers[1].Name: true}
+	live, died = m.Observe(down) // failure 1 of 2: still live
+	if len(live) != 3 || len(died) != 0 {
+		t.Fatalf("after one failure live = %v, died = %v, want 3 and none (threshold 2)", live, died)
 	}
 
-	m.CheckNow() // failure 2 of 2: dead
-	live := m.Live()
+	live, died = m.Observe(down) // failure 2 of 2: dead
 	if len(live) != 2 || live[0].Name != "node0" || live[1].Name != "node2" {
 		t.Fatalf("after death live = %v", live)
 	}
-	if len(fired) != 1 || len(fired[0]) != 2 {
-		t.Fatalf("OnChange = %v", fired)
+	if len(died) != 1 || died[0] != peers[1] {
+		t.Fatalf("died = %v, want exactly %v", died, peers[1])
 	}
-
-	// Death is one-way: the node recovering does not resurrect it.
-	mu.Lock()
-	down[peers[1].Addr] = false
-	mu.Unlock()
-	m.CheckNow()
 	if got := m.Live(); len(got) != 2 {
-		t.Fatalf("dead node resurrected: live = %d", len(got))
+		t.Fatalf("Live() = %v after death, want the 2 survivors", got)
 	}
-	if len(fired) != 1 {
-		t.Fatalf("OnChange re-fired without a change: %v", fired)
-	}
-}
 
-func TestMembershipStartStop(t *testing.T) {
-	seen := make(chan struct{}, 16)
-	m := NewMembership(mkNodes(1), func(addr string) error {
-		select {
-		case seen <- struct{}{}:
-		default:
-		}
-		return nil
-	}, MembershipConfig{Interval: 5 * time.Millisecond})
-	m.Start()
-	<-seen // at least one periodic pass ran
-	m.Stop()
-	m.Stop()  // idempotent
-	m.Start() // no-op after Stop
+	// Death is one-way: the node recovering does not resurrect it, and a
+	// dead node cannot die twice.
+	live, died = m.Observe(nil)
+	if len(live) != 2 || len(died) != 0 {
+		t.Fatalf("dead node resurrected or re-died: live = %v, died = %v", live, died)
+	}
+
+	// A success between failures resets the count: one failure, one clean
+	// pass, one failure is not a death at threshold 2.
+	flaky := map[string]bool{peers[0].Name: true}
+	m.Observe(flaky)
+	m.Observe(nil)
+	if live, died = m.Observe(flaky); len(live) != 2 || len(died) != 0 {
+		t.Fatalf("non-consecutive failures killed a node: live = %v, died = %v", live, died)
+	}
 }
 
 // TestRebalanceGrow pins the grow direction: rebalancing onto a live set
@@ -364,66 +332,48 @@ func TestComputeDuplicateAddr(t *testing.T) {
 	}
 }
 
-// TestMembershipAdmitAndOnProbe pins the join-side membership contract:
-// a dead node stays dead on its own, Admit readmits it (or adds a brand
-// new peer), and OnProbe fires after every pass so the coordinator can
-// re-drive pending adopts.
-func TestMembershipAdmitAndOnProbe(t *testing.T) {
-	var mu sync.Mutex
-	down := map[string]bool{}
-	probe := func(addr string) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if down[addr] {
-			return errors.New("unreachable")
-		}
-		return nil
-	}
+// TestMembershipAdmit pins the join-side membership contract: a dead node
+// stays dead on its own, Admit readmits it (or adds a brand new peer) with
+// a clean failure count, and every pass returns the live set it leaves.
+func TestMembershipAdmit(t *testing.T) {
 	peers := mkNodes(2)
-	m := NewMembership(peers, probe, MembershipConfig{Interval: time.Hour, Threshold: 1})
-	passes := 0
-	m.OnProbe(func(live []Node) { passes++ })
+	m := NewMembership(peers, 1)
 
-	m.CheckNow()
-	if passes != 1 {
-		t.Fatalf("OnProbe fired %d times after one pass", passes)
-	}
-
-	mu.Lock()
-	down[peers[1].Addr] = true
-	mu.Unlock()
-	m.CheckNow()
-	if got := m.Live(); len(got) != 1 {
-		t.Fatalf("live = %d, want 1 after death", len(got))
+	if live, _ := m.Observe(map[string]bool{peers[1].Name: true}); len(live) != 1 {
+		t.Fatalf("live = %v, want 1 after death", live)
 	}
 
 	// Recovery alone does not readmit...
-	mu.Lock()
-	down[peers[1].Addr] = false
-	mu.Unlock()
-	m.CheckNow()
-	if got := m.Live(); len(got) != 1 {
+	if live, _ := m.Observe(nil); len(live) != 1 {
 		t.Fatal("dead node slipped back in without Admit")
 	}
 
 	// ...Admit does, even at a new address.
 	m.Admit(Node{Name: peers[1].Name, Addr: "127.0.0.1:9777"})
-	m.CheckNow()
-	live := m.Live()
-	if len(live) != 2 {
-		t.Fatalf("live after Admit = %v", live)
+	live, died := m.Observe(nil)
+	if len(live) != 2 || len(died) != 0 {
+		t.Fatalf("live after Admit = %v, died = %v", live, died)
 	}
 	if live[1].Addr != "127.0.0.1:9777" {
 		t.Fatalf("Admit kept the stale address: %v", live[1])
 	}
 
-	// Admit of a brand-new peer extends the probed set.
-	m.Admit(Node{Name: "node9", Addr: "127.0.0.1:9888"})
-	m.CheckNow()
-	if got := m.Live(); len(got) != 3 {
-		t.Fatalf("live after admitting a new peer = %d, want 3", len(got))
+	// Admit of a live member re-addresses it in place.
+	m.Admit(Node{Name: peers[0].Name, Addr: "127.0.0.1:9666"})
+	if got := m.Live(); len(got) != 2 || got[0].Addr != "127.0.0.1:9666" {
+		t.Fatalf("re-address of a live member: %v", got)
 	}
-	if passes != 5 {
-		t.Fatalf("OnProbe fired %d times over 5 passes", passes)
+
+	// Admit of a brand-new peer extends the probed set, sorted by name.
+	m.Admit(Node{Name: "node00", Addr: "127.0.0.1:9888"})
+	live, _ = m.Observe(nil)
+	if len(live) != 3 || live[0].Name != "node0" || live[1].Name != "node00" || live[2].Name != "node1" {
+		t.Fatalf("live after admitting a new peer = %v, want node0, node00, node1", live)
+	}
+
+	// Live hands out copies: scribbling on one does not reach the set.
+	m.Live()[0].Name = "scribble"
+	if got := m.Live(); got[0].Name != "node0" {
+		t.Fatalf("Live() aliases the membership's own slice: %v", got)
 	}
 }

@@ -1,105 +1,38 @@
 package cluster
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
+import "sort"
 
-// ProbeFunc checks one peer's health; nil means alive. The transport
-// client's ping frame is the production implementation, but membership
-// only needs the judgment, so tests inject failures directly.
-type ProbeFunc func(addr string) error
-
-// MembershipConfig tunes probing; the zero value gets defaults suitable
-// for a localhost cluster.
-type MembershipConfig struct {
-	// Interval between probe passes; defaults to 500ms.
-	Interval time.Duration
-	// Threshold is the number of consecutive failed probes that declares a
-	// node dead; defaults to 2, so one dropped packet does not trigger a
-	// shard handoff.
-	Threshold int
-}
-
-// Membership watches a seed set of nodes with periodic health probes. A
-// node that misses Threshold consecutive probes is removed from the live
-// set, and the OnChange callback fires with the survivors so the
-// coordinator can recompute the cluster map and drive handoff. Death is
-// no longer one-way: a node readmitted through the coordinator's join
-// protocol (Admit, DESIGN.md §15) re-enters the live set with a clean
-// failure count and is probed from the next pass — but only through that
-// validated path; a dead node never slips back in just by answering
-// probes again.
+// Membership is the coordinator's live-node bookkeeping: the live set,
+// each member's consecutive failed-probe count, and the threshold that
+// turns failures into a death. It is a plain value with no goroutine, no
+// lock and no clock — the coordinator that owns it probes the live nodes
+// however it likes and reports the verdicts through Observe. Death is
+// one-way on its own: a dead node never slips back in just by answering
+// probes again, only through Admit, the coordinator's validated
+// join/rejoin path (DESIGN.md §15).
 type Membership struct {
-	probe     ProbeFunc
-	interval  time.Duration
 	threshold int
-
-	mu       sync.Mutex
-	peers    []Node // live peers, sorted by name
-	fails    map[string]int
-	onChange func(live []Node)
-	onProbe  func(live []Node)
-	started  bool
-	stopped  bool
-	stop     chan struct{}
-	done     chan struct{}
+	peers     []Node // live peers, sorted by name
+	fails     map[string]int
 }
 
-// NewMembership builds a membership over the seed peers. All peers start
-// presumed alive; probing begins at Start.
-func NewMembership(peers []Node, probe ProbeFunc, cfg MembershipConfig) *Membership {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 500 * time.Millisecond
-	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 2
+// NewMembership builds a membership over the seed peers, all presumed
+// alive. threshold is the number of consecutive failed probes that
+// declares a node dead; non-positive means 2, so one dropped packet does
+// not trigger a shard handoff.
+func NewMembership(peers []Node, threshold int) *Membership {
+	if threshold <= 0 {
+		threshold = 2
 	}
 	live := append([]Node(nil), peers...)
-	return &Membership{
-		probe:     probe,
-		interval:  cfg.Interval,
-		threshold: cfg.Threshold,
-		peers:     live,
-		fails:     make(map[string]int, len(live)),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}
+	sort.Slice(live, func(i, j int) bool { return live[i].Name < live[j].Name })
+	return &Membership{threshold: threshold, peers: live, fails: make(map[string]int, len(live))}
 }
 
-// OnChange registers the callback invoked (from the probe goroutine, or
-// from CheckNow's caller) whenever the live set shrinks. Set it before
-// Start.
-func (m *Membership) OnChange(fn func(live []Node)) {
-	m.mu.Lock()
-	m.onChange = fn
-	m.mu.Unlock()
-}
-
-// OnProbe registers a callback invoked after every completed probe pass
-// (from the probe goroutine, or from CheckNow's caller) with the current
-// live set, whether or not the set changed. Coordinators hang periodic
-// retry work off it — adoptions that failed at death time are re-driven
-// pass by pass. Set it before Start.
-func (m *Membership) OnProbe(fn func(live []Node)) {
-	m.mu.Lock()
-	m.onProbe = fn
-	m.mu.Unlock()
-}
-
-// Admit adds a node to the live set, or revives a dead one — the
-// join/rejoin path. The node's failure count resets and its address is
-// updated in place (a restarted node usually comes back on a new port);
-// probing covers it from the next pass. Admit never fires OnChange: the
-// coordinator admitting the node already knows, and drives the rebalance
-// itself. Admit after Stop is a no-op.
+// Admit adds a node to the live set, or revives a dead one. The node's
+// failure count resets and its address is updated in place (a restarted
+// node usually comes back on a new port).
 func (m *Membership) Admit(n Node) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stopped {
-		return
-	}
 	m.fails[n.Name] = 0
 	for i := range m.peers {
 		if m.peers[i].Name == n.Name {
@@ -111,61 +44,14 @@ func (m *Membership) Admit(n Node) {
 	sort.Slice(m.peers, func(i, j int) bool { return m.peers[i].Name < m.peers[j].Name })
 }
 
-// Live returns a copy of the current live node set.
-func (m *Membership) Live() []Node {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Node(nil), m.peers...)
-}
+// Live returns a copy of the current live node set, sorted by name.
+func (m *Membership) Live() []Node { return append([]Node(nil), m.peers...) }
 
-// Start launches the periodic probe loop. The loop samples the wall clock
-// by design: health probing is about real elapsed time, not virtual
-// rounds.
-func (m *Membership) Start() {
-	m.mu.Lock()
-	if m.started || m.stopped {
-		m.mu.Unlock()
-		return
-	}
-	m.started = true
-	m.mu.Unlock()
-	go m.loop()
-}
-
-func (m *Membership) loop() {
-	defer close(m.done)
-	//lint:allow wallclock health probing measures real elapsed time between peers
-	t := time.NewTicker(m.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-t.C:
-			m.CheckNow()
-		}
-	}
-}
-
-// CheckNow runs one synchronous probe pass over the live peers, applying
-// the failure threshold and firing OnChange if any node died. Exposed so
-// tests and startup readiness checks can probe without waiting a tick.
-func (m *Membership) CheckNow() {
-	m.mu.Lock()
-	peers := append([]Node(nil), m.peers...)
-	m.mu.Unlock()
-
-	// Probe outside the lock — a hung peer must not block Live().
-	failed := make(map[string]bool, len(peers))
-	for _, p := range peers {
-		if err := m.probe(p.Addr); err != nil {
-			failed[p.Name] = true
-		}
-	}
-
-	m.mu.Lock()
-	var live []Node
-	changed := false
+// Observe applies one probe pass: failed names the live nodes whose probe
+// failed, every other live node's failure count resets. Nodes reaching
+// the threshold leave the live set. It returns the live set after the
+// pass and the nodes that died in it.
+func (m *Membership) Observe(failed map[string]bool) (live, died []Node) {
 	for _, p := range m.peers {
 		if failed[p.Name] {
 			m.fails[p.Name]++
@@ -173,39 +59,12 @@ func (m *Membership) CheckNow() {
 			m.fails[p.Name] = 0
 		}
 		if m.fails[p.Name] >= m.threshold {
-			changed = true
-			continue // dead: drop from the live set until readmitted
+			died = append(died, p)
+			delete(m.fails, p.Name)
+			continue // dead: out of the live set until readmitted
 		}
 		live = append(live, p)
 	}
-	var fire func(live []Node)
-	if changed {
-		m.peers = live
-		fire = m.onChange
-	}
-	probed := m.onProbe
-	snapshot := append([]Node(nil), m.peers...)
-	m.mu.Unlock()
-
-	if fire != nil {
-		fire(snapshot)
-	}
-	if probed != nil {
-		probed(snapshot)
-	}
-}
-
-// Stop halts the probe loop and waits for it to exit. A stopped
-// membership stays stopped — Start after Stop is a no-op.
-func (m *Membership) Stop() {
-	m.mu.Lock()
-	if !m.started || m.stopped {
-		m.stopped = true
-		m.mu.Unlock()
-		return
-	}
-	m.stopped = true
-	m.mu.Unlock()
-	close(m.stop)
-	<-m.done
+	m.peers = live
+	return m.Live(), died
 }

@@ -340,8 +340,8 @@ func TestClusterCrashTakeoverByteIdentical(t *testing.T) {
 
 	// Two failed probes cross the death threshold and trigger the
 	// coordinator: recompute, adopt, broadcast.
-	tc.router.Membership().CheckNow()
-	tc.router.Membership().CheckNow()
+	tc.router.CheckNow()
+	tc.router.CheckNow()
 
 	next := tc.router.Map()
 	if next.Version != m.Version+1 {
@@ -457,7 +457,7 @@ func TestClusterBackpressurePropagates(t *testing.T) {
 	// Kill the node's transport: one probe marks it down, and publishes
 	// turn into retryable 503s.
 	_ = n.Close()
-	r.Membership().CheckNow()
+	r.CheckNow()
 	var req PublishRequest
 	req.Topic.Kind = "friend-feed"
 	req.Topic.Entity = 1
@@ -601,8 +601,8 @@ func TestClusterTakeoverMapDoesNotLie(t *testing.T) {
 	tc.servers["c"].CrashStop()
 	tc.servers["a"].CrashStop()
 	_ = tc.nodes["a"].Close()
-	tc.router.Membership().CheckNow()
-	tc.router.Membership().CheckNow() // threshold 2: a is now dead
+	tc.router.CheckNow()
+	tc.router.CheckNow() // threshold 2: a is now dead
 
 	// Shards 0,2 adopt onto b; shard 5's adopt onto c fails, so the map
 	// must say "nobody" — not "c".
@@ -650,8 +650,8 @@ func TestClusterTakeoverMapDoesNotLie(t *testing.T) {
 	// whole space onto b — including the pending shard, whose state adopts
 	// from the shared WAL dir with nothing lost.
 	_ = tc.nodes["c"].Close()
-	tc.router.Membership().CheckNow()
-	tc.router.Membership().CheckNow()
+	tc.router.CheckNow()
+	tc.router.CheckNow()
 	final := tc.router.Map()
 	if got := len(final.OwnedBy("b")); got != 8 {
 		t.Fatalf("survivor owns %d of 8 shards after heal", got)
@@ -694,7 +694,7 @@ func TestRouterTickPartial(t *testing.T) {
 	if code := publishVia(t, tc.front.URL, bUser, 9200); code != http.StatusServiceUnavailable {
 		t.Fatalf("publish to killed node: status %d, want 503", code)
 	}
-	if tc.router.isUp("b") {
+	if tc.router.view.Load().peers["b"].up.Load() {
 		t.Fatal("transport error on the forward path did not mark the node down")
 	}
 
@@ -735,7 +735,8 @@ func TestRouterTickPartial(t *testing.T) {
 // nodes actually own — recomputing from seed placement would silently
 // disown every post-seed move.
 func TestClusterRouterRestartRecovery(t *testing.T) {
-	tc := startCluster(t, 4, t.TempDir(), "a", "b")
+	walDir := t.TempDir()
+	tc := startCluster(t, 4, walDir, "a", "b")
 
 	for i := 0; i < 40; i++ {
 		if code := publishVia(t, tc.front.URL, notif.UserID(i%12+1), i+1); code != http.StatusAccepted {
@@ -802,6 +803,88 @@ func TestClusterRouterRestartRecovery(t *testing.T) {
 	user := userOnShard(t, tc.servers["b"], moved)
 	if code := publishVia(t, front2.URL, user, 9300); code != http.StatusAccepted {
 		t.Errorf("publish through restarted router: status %d", code)
+	}
+
+	// ---- Grace holds through a death. A third node joins and takes its
+	// hash share; the router restarts again over the same two seeds, so the
+	// joiner's shards are unassigned inside their grace until it announces.
+	// A seed dying in that window must not get them crash-adopted from the
+	// WAL — the joiner is alive and appending to it.
+	sc, nc := startJoiner(t, 4, walDir, "c")
+	if resp := announceTo(t, r2.ClusterAddr(), nc, walDir); resp.Status != joinAccepted {
+		t.Fatalf("join: status %d: %s", resp.Status, resp.ErrText)
+	}
+	r2.Pending() // barrier: the rebalance behind the join has finished
+	cShards := r2.Map().OwnedBy("c")
+	if len(cShards) == 0 {
+		t.Fatal("placement drifted: the joiner's hash share is empty, test assumes it is not")
+	}
+	bShards := r2.Map().OwnedBy("b")
+
+	r2.Stop()
+	r3, err := NewRouter(RouterConfig{
+		Shards:        4,
+		Peers:         peers,
+		Listen:        "127.0.0.1:0",
+		ProbeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r3.Start(); err != nil {
+		t.Fatalf("second restarted router Start: %v", err)
+	}
+	t.Cleanup(r3.Stop)
+	if got := r3.Map().Unassigned(); !equalInts(got, cShards) {
+		t.Fatalf("recovery over the seeds left %v unassigned, want the joiner's %v", got, cShards)
+	}
+
+	// Kill seed b before c's first announce; two passes cross the threshold.
+	tc.servers["b"].CrashStop()
+	_ = tc.nodes["b"].Close()
+	r3.CheckNow()
+	r3.CheckNow()
+	dm := r3.Map()
+	if len(r3.Live()) != 1 || dm.NodeAddr("b") != "" {
+		t.Fatalf("b not declared dead: live %v, map nodes %v", r3.Live(), dm.Nodes)
+	}
+	for _, s := range bShards {
+		if dm.Owner(s).Name != "a" || !tc.servers["a"].Owns(s) {
+			t.Errorf("dead b's shard %d not taken over by a (map says %q)", s, dm.Owner(s).Name)
+		}
+	}
+	if got := dm.Unassigned(); !equalInts(got, cShards) {
+		t.Errorf("after the death Unassigned = %v, want the joiner's %v still waiting", got, cShards)
+	}
+	if got := r3.Pending(); !equalInts(got, cShards) {
+		t.Errorf("after the death Pending = %v, want %v", got, cShards)
+	}
+	for _, s := range cShards {
+		if tc.servers["a"].Owns(s) {
+			t.Errorf("shard %d adopted by a inside its grace while c still serves it: two live owners", s)
+		}
+		if !sc.Owns(s) {
+			t.Errorf("joiner lost shard %d", s)
+		}
+	}
+
+	// The joiner's announce folds its shards back, nothing re-adopted.
+	handoffs := r3.Handoffs()
+	if resp := announceTo(t, r3.ClusterAddr(), nc, walDir); resp.Status != joinAccepted {
+		t.Fatalf("announce to the restarted router: status %d: %s", resp.Status, resp.ErrText)
+	}
+	if got := r3.Pending(); len(got) != 0 {
+		t.Errorf("Pending = %v after the joiner announced, want empty", got)
+	}
+	fm := r3.Map()
+	if got := fm.OwnedBy("c"); !equalInts(got, cShards) {
+		t.Errorf("folded map gives c %v, want %v", got, cShards)
+	}
+	if len(fm.Unassigned()) != 0 {
+		t.Errorf("shards still unassigned after the fold: %v", fm.Unassigned())
+	}
+	if got := r3.Handoffs(); got != handoffs {
+		t.Errorf("folding ownership back commanded %d handoffs, want none", got-handoffs)
 	}
 }
 
@@ -924,7 +1007,7 @@ func TestClusterJoinRebalance(t *testing.T) {
 	}
 
 	// The probe loop now covers c: kill it and the membership notices.
-	if got := len(tc.router.Membership().Live()); got != 3 {
+	if got := len(tc.router.Live()); got != 3 {
 		t.Fatalf("membership probes %d nodes after join, want 3", got)
 	}
 }
@@ -967,7 +1050,7 @@ func TestClusterJoinValidation(t *testing.T) {
 			t.Errorf("%s: status=%d err=%q, want rejection with reason", tt.name, resp.Status, resp.ErrText)
 		}
 	}
-	if got := len(tc.router.Membership().Live()); got != 2 {
+	if got := len(tc.router.Live()); got != 2 {
 		t.Fatalf("rejected joins changed membership: %d live", got)
 	}
 
