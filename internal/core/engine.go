@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -149,16 +150,53 @@ type engineUser struct {
 	cfg   UserConfig
 	dev   *sched.Device
 	inbox []sched.Queued
-	// topics are the user's addressed subscriptions (Accept).
-	topics map[pubsub.TopicID]bool
-	dirty  bool
+	// feeds are the user's addressed subscriptions (Accept), ascending in
+	// canonical topic order; waiting marks membership of Engine.waiting.
+	feeds   []addressedFeed
+	waiting bool
+	dirty   bool
 	// queued and lyap cache the user's last contribution to the engine's
 	// running aggregates, so refreshAgg can fold in deltas.
 	queued int
 	lyap   lyapunov.Stats
 }
 
-// stagedNotif is one broker-flushed publication awaiting batch scoring
+// addressedFeed is one addressed subscription: the publications Accept
+// took for this user on the topic, in arrival order, held until a round
+// the topic kind's cadence divides.
+type addressedFeed struct {
+	topic   pubsub.TopicID
+	cadence int
+	pending []notif.Item
+}
+
+// compareTopics is the canonical topic order: kind, then entity.
+func compareTopics(a, b pubsub.TopicID) int {
+	if a.Kind != b.Kind {
+		return cmp.Compare(a.Kind, b.Kind)
+	}
+	return cmp.Compare(a.Entity, b.Entity)
+}
+
+// findFeed locates the topic in the user's feeds, or where it would go.
+func (u *engineUser) findFeed(topic pubsub.TopicID) (int, bool) {
+	return slices.BinarySearchFunc(u.feeds, topic, func(f addressedFeed, t pubsub.TopicID) int {
+		return compareTopics(f.topic, t)
+	})
+}
+
+// feed returns the user's addressed feed for the topic, subscribing it at
+// the topic kind's cadence if it does not exist yet. The pointer is valid
+// until the next call.
+func (u *engineUser) feed(topic pubsub.TopicID) *addressedFeed {
+	i, found := u.findFeed(topic)
+	if !found {
+		u.feeds = slices.Insert(u.feeds, i, addressedFeed{topic: topic, cadence: kindCadence(topic.Kind)})
+	}
+	return &u.feeds[i]
+}
+
+// stagedNotif is one flushed publication awaiting batch scoring
 // and enrichment at the round boundary.
 type stagedNotif struct {
 	user *engineUser
@@ -166,11 +204,11 @@ type stagedNotif struct {
 }
 
 // Engine is the paper's Algorithm 2 driver: it owns everything a round
-// touches — broker, collector, per-user devices, inboxes and
-// subscriptions — and advances it one round per Step. It starts no
-// goroutine, opens no file, takes no lock and reads no clock; a host (the
-// server's shard, Live, Pipeline.Run) supplies arrivals and calls Step.
-// An Engine is not safe for concurrent use.
+// touches — collector, per-user devices, inboxes and addressed feeds, the
+// broker of the broadcast path — and advances it one round per Step. It
+// starts no goroutine, opens no file, takes no lock and reads no clock; a
+// host (the server's shard, Live, Pipeline.Run) supplies arrivals and
+// calls Step. An Engine is not safe for concurrent use.
 type Engine struct {
 	cfg           EngineConfig
 	streams       StreamFunc
@@ -186,6 +224,18 @@ type Engine struct {
 	// broadcast records that Subscribe was used, which StateFields cannot
 	// represent.
 	broadcast bool
+
+	// The addressed path (Accept) bypasses the broker: an item goes to its
+	// recipient's own feed and nowhere else. waiting lists the users holding
+	// at least one buffered item, ascending once Step has sorted it (Accept
+	// appends set waitingUnsorted); pending counts those items. published
+	// and delivered are the state format's broker counters: items accepted,
+	// items flushed from a feed.
+	waiting         []*engineUser
+	waitingUnsorted bool
+	pending         int
+	published       uint64
+	delivered       uint64
 
 	// Event-driven round state (DESIGN.md §14). dirty lists the users the
 	// next round must step — everyone else is parked, to be caught up
@@ -203,10 +253,10 @@ type Engine struct {
 	// event-driven loop must match byte for byte.
 	fullScan bool
 
-	// staged collects the round's broker-flushed publications in handler
-	// order so content scoring runs as one cross-user batch (tree-major
-	// forest walk) instead of per item; stagedNs/stagedScores are the
-	// reusable batch buffers.
+	// staged collects the round's flushed publications — the broker's in
+	// handler order, then the addressed feeds' — so content scoring runs as
+	// one cross-user batch (tree-major forest walk) instead of per item;
+	// stagedNs/stagedScores are the reusable batch buffers.
 	staged       []stagedNotif
 	stagedNs     []*trace.Notification
 	stagedScores []float64
@@ -258,7 +308,8 @@ func (e *Engine) Users() []notif.UserID {
 type EngineStats struct {
 	Users int
 	// QueueDepth sums scheduling-queue lengths and inbox backlogs;
-	// BrokerPending counts publications still buffered in the broker.
+	// BrokerPending counts publications held for their feed's cadence
+	// round, addressed and broadcast.
 	QueueDepth    int
 	BrokerPending int
 	// Lyapunov sums controller telemetry across RichNote devices (see
@@ -272,7 +323,7 @@ func (e *Engine) Stats() EngineStats {
 	return EngineStats{
 		Users:         len(e.order),
 		QueueDepth:    e.aggQueue,
-		BrokerPending: e.broker.PendingRound(),
+		BrokerPending: e.broker.PendingRound() + e.pending,
 		Lyapunov:      e.aggLyap,
 	}
 }
@@ -367,7 +418,7 @@ func (e *Engine) AddUser(cfg UserConfig) error {
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	u := &engineUser{cfg: cfg, dev: dev, topics: make(map[pubsub.TopicID]bool)}
+	u := &engineUser{cfg: cfg, dev: dev}
 	e.users[cfg.User] = u
 	e.refreshAgg(u)
 	// New devices start dirty: a RichNote controller needs rounds to climb
@@ -394,11 +445,13 @@ func kindCadence(k notif.TopicKind) int {
 }
 
 // Accept takes one addressed publication: it registers the recipient if
-// needed (EngineConfig.AutoRegister), subscribes it to the topic at the
-// topic kind's cadence and publishes the item, stamped with its
-// recipient, into the broker, where it buffers until a round drains it.
-// An error means the publication was discarded. Every decision here is a
-// function of engine state, so replaying the same calls reproduces them.
+// needed (EngineConfig.AutoRegister) and appends the item, stamped with
+// its recipient, to the recipient's own feed for the topic, where it
+// buffers until a round the topic kind's cadence divides. No other
+// follower of the topic sees it, so a fan-out costs one append per
+// recipient. An error means the publication was discarded. Every decision
+// here is a function of engine state, so replaying the same calls
+// reproduces them.
 func (e *Engine) Accept(topic pubsub.TopicID, user notif.UserID, item notif.Item) error {
 	u, ok := e.users[user]
 	if !ok {
@@ -412,14 +465,24 @@ func (e *Engine) Accept(topic pubsub.TopicID, user notif.UserID, item notif.Item
 		}
 		u = e.users[user]
 	}
-	if !u.topics[topic] {
-		if err := e.subscribe(u, topic, kindCadence(topic.Kind), true); err != nil {
-			return err
-		}
-	}
 	item.Recipient = user
-	e.broker.Publish(topic, item)
+	f := u.feed(topic)
+	f.pending = append(f.pending, item)
+	e.pending++
+	e.published++
+	e.markWaiting(u)
 	return nil
+}
+
+// markWaiting puts a user that holds buffered addressed items on the list
+// Step drains.
+func (e *Engine) markWaiting(u *engineUser) {
+	if u.waiting {
+		return
+	}
+	u.waiting = true
+	e.waiting = append(e.waiting, u)
+	e.waitingUnsorted = true
 }
 
 // Subscribe connects the user to a broadcast topic: every item Publish
@@ -430,7 +493,12 @@ func (e *Engine) Subscribe(user notif.UserID, topic pubsub.TopicID, cadence int)
 		return fmt.Errorf("%w %d", ErrUnknownUser, user)
 	}
 	e.broadcast = true
-	return e.subscribe(u, topic, cadence, false)
+	return e.broker.SubscribeCadence(user, topic, pubsub.ModeRound, cadence, func(items []notif.Item) {
+		for _, item := range items {
+			item.Recipient = user
+			e.staged = append(e.staged, stagedNotif{user: u, n: trace.Notification{Item: item, Round: e.round}})
+		}
+	})
 }
 
 // Publish puts an item on a broadcast topic.
@@ -438,26 +506,47 @@ func (e *Engine) Publish(topic pubsub.TopicID, item notif.Item) {
 	e.broker.Publish(topic, item)
 }
 
-// subscribe registers the handler that stages a topic's flushed items
-// for the round's scoring pass, stamped with their recipient. The broker
-// fans a publication out to every subscriber of its topic; an addressed
-// subscription (Accept's, recorded in the user's topics) keeps only the
-// items stamped for its own user, a broadcast one takes them all.
-func (e *Engine) subscribe(u *engineUser, topic pubsub.TopicID, cadence int, addressed bool) error {
-	user := u.cfg.User
-	err := e.broker.SubscribeCadence(user, topic, pubsub.ModeRound, cadence, func(items []notif.Item) {
-		for _, item := range items {
-			if addressed && item.Recipient != user {
+// stageAddressed moves every waiting user's feeds whose cadence divides
+// the round into the staged batch: users ascending, feeds in canonical
+// topic order, items in arrival order — per user the order the broker's
+// (topic, user) walk gave. Drained buffers keep their capacity for the
+// next round; a user still holding a cadence-gated feed stays waiting.
+// An item stamped for someone else (an old snapshot's shared-topic list)
+// is counted as flushed and discarded.
+func (e *Engine) stageAddressed() {
+	if e.waitingUnsorted {
+		slices.SortFunc(e.waiting, func(a, b *engineUser) int { return cmp.Compare(a.cfg.User, b.cfg.User) })
+		e.waitingUnsorted = false
+	}
+	keep := e.waiting[:0]
+	for _, u := range e.waiting {
+		held := false
+		for i := range u.feeds {
+			f := &u.feeds[i]
+			if len(f.pending) == 0 {
 				continue
 			}
-			item.Recipient = user
-			e.staged = append(e.staged, stagedNotif{user: u, n: trace.Notification{Item: item, Round: e.round}})
+			if e.round%f.cadence != 0 {
+				held = true
+				continue
+			}
+			for _, item := range f.pending {
+				if item.Recipient == u.cfg.User {
+					e.staged = append(e.staged, stagedNotif{user: u, n: trace.Notification{Item: item, Round: e.round}})
+				}
+			}
+			e.pending -= len(f.pending)
+			e.delivered += uint64(len(f.pending))
+			clear(f.pending)
+			f.pending = f.pending[:0]
 		}
-	})
-	if err == nil && addressed {
-		u.topics[topic] = true
+		if held {
+			keep = append(keep, u)
+		} else {
+			u.waiting = false
+		}
 	}
-	return err
+	e.waiting = keep
 }
 
 // Enqueue puts already enriched arrivals into the user's inbox; the next
@@ -472,13 +561,15 @@ func (e *Engine) Enqueue(user notif.UserID, items []sched.Queued) error {
 	return nil
 }
 
-// Step executes one round: drain the broker's round-mode buffers,
-// batch-score and enrich the flushed publications into inboxes, then run
-// Algorithm 2 on every dirty user in ascending order. It reports how many
-// flushed publications enrichment rejected (they are gone) and the first
-// error any user's round returned; every dirty user is visited either way.
+// Step executes one round: drain the broker's round-mode buffers and the
+// addressed feeds the round is due for, batch-score and enrich the
+// flushed publications into inboxes, then run Algorithm 2 on every dirty
+// user in ascending order. It reports how many flushed publications
+// enrichment rejected (they are gone) and the first error any user's
+// round returned; every dirty user is visited either way.
 func (e *Engine) Step() (dropped int, err error) {
 	e.broker.EndRoundIndex(e.round)
+	e.stageAddressed()
 	dropped = e.flushStaged()
 	if e.fullScan {
 		for _, u := range e.order {
@@ -506,12 +597,12 @@ func (e *Engine) markDirty(u *engineUser) {
 	e.dirtyUnsorted = true
 }
 
-// flushStaged turns the round's broker-flushed publications into inbox
-// entries: one batch scoring call across all users (amortizing the
-// forest's tree-major arena walk), then per-item enrichment in staged
-// (handler-invocation) order, which fixes inbox order and every queue
-// order downstream. Recipients of new inbox items are marked dirty; items
-// enrichment rejects are counted and dropped.
+// flushStaged turns the round's flushed publications into inbox entries:
+// one batch scoring call across all users (amortizing the forest's
+// tree-major arena walk), then per-item enrichment in staged order, which
+// fixes inbox order and every queue order downstream. Recipients of new
+// inbox items are marked dirty; items enrichment rejects are counted and
+// dropped.
 func (e *Engine) flushStaged() (dropped int) {
 	if len(e.staged) == 0 {
 		return 0

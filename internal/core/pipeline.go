@@ -168,10 +168,7 @@ func BuildPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// Every audio notification shares one of at most two ladders, so
-	// enrichment becomes a score plus a map lookup instead of
-	// regenerating six presentations per notification.
-	enricher, err := utility.NewEnricher(scorer, media.NewCachedGenerator(audioGen))
+	enricher, err := utility.NewEnricher(scorer, audioGen)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -88,7 +88,7 @@ func (e *Engine) StateFields(c *wal.Codec, host func(*wal.Codec)) {
 		var u UserState
 		if !dec {
 			eu := e.order[i]
-			u = UserState{Cfg: eu.cfg, Topics: sortedTopics(eu.topics), Device: eu.dev.ExportState()}
+			u = UserState{Cfg: eu.cfg, Topics: eu.topics(), Device: eu.dev.ExportState()}
 		}
 		UserStateFields(c, &u)
 		if dec && c.Err() == nil {
@@ -106,10 +106,10 @@ func (e *Engine) StateFields(c *wal.Codec, host func(*wal.Codec)) {
 	}
 	wal.Slice(c, &inbox, 12, "inbox users", UserQueueFields)
 
-	var bs pubsub.BrokerState
+	var bs BrokerState
 	var cs metrics.CollectorState
 	if !dec {
-		bs, cs = e.broker.ExportState(), e.col.ExportState()
+		bs, cs = e.exportFeeds(), e.col.ExportState()
 	}
 	BrokerStateFields(c, &bs)
 	CollectorStateFields(c, &cs)
@@ -125,7 +125,7 @@ func (e *Engine) StateFields(c *wal.Codec, host func(*wal.Codec)) {
 		}
 		u.inbox = q.Items
 	}
-	if err := e.broker.RestoreState(bs); err != nil {
+	if err := e.restoreFeeds(bs); err != nil {
 		c.Fail(err)
 		return
 	}
@@ -149,25 +149,75 @@ func (e *Engine) restoreUser(s *UserState) error {
 	}
 	u := e.users[s.Cfg.User]
 	for _, topic := range s.Topics {
-		if err := e.subscribe(u, topic, kindCadence(topic.Kind), true); err != nil {
-			return err
-		}
+		u.feed(topic)
 	}
 	return u.dev.RestoreState(s.Device)
 }
 
-func sortedTopics(set map[pubsub.TopicID]bool) []pubsub.TopicID {
-	topics := make([]pubsub.TopicID, 0, len(set))
-	for t := range set {
-		topics = append(topics, t)
+// topics lists the user's addressed subscriptions, ascending.
+func (u *engineUser) topics() []pubsub.TopicID {
+	topics := make([]pubsub.TopicID, len(u.feeds))
+	for i := range u.feeds {
+		topics[i] = u.feeds[i].topic
 	}
-	slices.SortFunc(topics, func(a, b pubsub.TopicID) int {
-		if a.Kind != b.Kind {
-			return int(a.Kind) - int(b.Kind)
-		}
-		return cmp.Compare(a.Entity, b.Entity)
-	})
 	return topics
+}
+
+// BrokerState is the state format's broker section: the publish and flush
+// counters and every non-empty addressed feed, ordered by topic (kind,
+// entity), then user. The items alias the feeds' buffers.
+type BrokerState struct {
+	Published uint64
+	Delivered uint64
+	Pending   []PendingState
+}
+
+// PendingState is one feed's buffered publications.
+type PendingState struct {
+	Topic pubsub.TopicID
+	User  notif.UserID
+	Items []notif.Item
+}
+
+func (e *Engine) exportFeeds() BrokerState {
+	bs := BrokerState{Published: e.published, Delivered: e.delivered}
+	for _, u := range e.waiting {
+		for i := range u.feeds {
+			if f := &u.feeds[i]; len(f.pending) > 0 {
+				bs.Pending = append(bs.Pending, PendingState{Topic: f.topic, User: u.cfg.User, Items: f.pending})
+			}
+		}
+	}
+	slices.SortFunc(bs.Pending, func(a, b PendingState) int {
+		if c := compareTopics(a.Topic, b.Topic); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.User, b.User)
+	})
+	return bs
+}
+
+// restoreFeeds installs the counters and pending lists into the users
+// restoreUser rebuilt; a list must name a subscription one of them holds.
+// Lists written before feeds were per-user may carry other followers'
+// items; they are kept as they are and discarded when the feed flushes.
+func (e *Engine) restoreFeeds(bs BrokerState) error {
+	e.published, e.delivered = bs.Published, bs.Delivered
+	for _, p := range bs.Pending {
+		u, i := e.users[p.User], 0
+		ok := u != nil
+		if ok {
+			i, ok = u.findFeed(p.Topic)
+		}
+		if !ok {
+			return fmt.Errorf("core: pending items for user %d on %s, which it is not subscribed to", p.User, p.Topic)
+		}
+		f := &u.feeds[i]
+		e.pending += len(p.Items) - len(f.pending)
+		f.pending = p.Items
+		e.markWaiting(u)
+	}
+	return nil
 }
 
 // --- value descriptions ------------------------------------------------------
@@ -269,11 +319,11 @@ func controllerFields(c *wal.Codec, s *lyapunov.State) {
 	c.Bool(&s.Initialized)
 }
 
-// BrokerStateFields describes the broker's counters and pending buffers.
-func BrokerStateFields(c *wal.Codec, bs *pubsub.BrokerState) {
+// BrokerStateFields describes the broker section.
+func BrokerStateFields(c *wal.Codec, bs *BrokerState) {
 	c.U64(&bs.Published)
 	c.U64(&bs.Delivered)
-	wal.Slice(c, &bs.Pending, 28, "pending buffers", func(c *wal.Codec, p *pubsub.PendingState) {
+	wal.Slice(c, &bs.Pending, 28, "pending buffers", func(c *wal.Codec, p *PendingState) {
 		TopicFields(c, &p.Topic)
 		wal.Int(c, &p.User)
 		wal.Slice(c, &p.Items, 8, "pending items", ItemFields)

@@ -146,3 +146,34 @@ func TestParetoPruneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The generator computes its ladder once and every Generate hands out a
+// copy: a caller scribbling on its slice must not reach the next caller,
+// and the ladder does not depend on the item.
+func TestAudioGeneratorReturnsPrivateCopies(t *testing.T) {
+	g, err := NewAudioGenerator(AudioConfig{Utility: eq8})
+	if err != nil {
+		t.Fatalf("NewAudioGenerator: %v", err)
+	}
+	first, err := g.Generate(audioItem())
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	want := append([]notif.Presentation(nil), first...)
+	first[0].Utility = -99
+	first[len(first)-1].Label = "scribbled"
+	other := audioItem()
+	other.ID, other.Meta.TrackID = 2, 0
+	second, err := g.Generate(other)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	if len(second) != len(want) {
+		t.Fatalf("%d levels, want %d", len(second), len(want))
+	}
+	for i := range want {
+		if second[i] != want[i] {
+			t.Fatalf("level %d: %+v after a caller mutated its copy, want %+v", i+1, second[i], want[i])
+		}
+	}
+}

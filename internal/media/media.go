@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/richnote/richnote/internal/notif"
 )
@@ -60,13 +61,11 @@ var (
 )
 
 // AudioGenerator builds the paper's six-level audio ladder: metadata only,
-// then metadata plus previews of increasing duration.
+// then metadata plus previews of increasing duration. The ladder depends on
+// the configuration alone, so it is computed once and every item gets a
+// copy.
 type AudioGenerator struct {
-	metadataBytes int64
-	bitrateKbps   int
-	durations     []float64
-	utilityFn     UtilityFn
-	metaFraction  float64
+	ladder []notif.Presentation
 }
 
 // AudioConfig configures an AudioGenerator.
@@ -110,42 +109,32 @@ func NewAudioGenerator(cfg AudioConfig) (*AudioGenerator, error) {
 	if cfg.MetaUtilityFraction <= 0 || cfg.MetaUtilityFraction >= 1 {
 		return nil, fmt.Errorf("%w: %f", ErrBadMetaFraction, cfg.MetaUtilityFraction)
 	}
-	durations := append([]float64(nil), cfg.PreviewDurations...)
-	return &AudioGenerator{
-		metadataBytes: cfg.MetadataBytes,
-		bitrateKbps:   cfg.BitrateKbps,
-		durations:     durations,
-		utilityFn:     cfg.Utility,
-		metaFraction:  cfg.MetaUtilityFraction,
-	}, nil
+	return &AudioGenerator{ladder: audioLadder(cfg)}, nil
 }
 
 var _ Generator = (*AudioGenerator)(nil)
 
-// Generate implements Generator. Presentation utilities are normalized so
-// the richest level has utility 1; the metadata-only level receives the
-// configured metadata fraction, and preview levels split the remaining
-// share proportionally to the (shifted) utility function, preserving
-// monotonicity.
+// Generate implements Generator; the caller owns the returned slice.
 func (g *AudioGenerator) Generate(item notif.Item) ([]notif.Presentation, error) {
 	if item.Kind != notif.KindAudio {
 		return nil, fmt.Errorf("%w: %s", ErrKindMismatch, item.Kind)
 	}
-	maxDur := g.durations[len(g.durations)-1]
-	// Cap previews at the underlying track length where known.
-	durations := make([]float64, 0, len(g.durations))
-	for _, d := range g.durations {
-		if item.Meta.TrackID != 0 && d > maxDur {
-			break
-		}
-		durations = append(durations, d)
-	}
+	return slices.Clone(g.ladder), nil
+}
+
+// audioLadder builds the ladder of a validated configuration.
+// Presentation utilities are normalized so the richest level has utility
+// 1; the metadata-only level receives the configured metadata fraction,
+// and preview levels split the remaining share proportionally to the
+// (shifted) utility function, preserving monotonicity.
+func audioLadder(cfg AudioConfig) []notif.Presentation {
+	durations := cfg.PreviewDurations
 
 	// Raw utility values, shifted so the smallest preview is positive.
 	raw := make([]float64, len(durations))
 	minRaw := math.Inf(1)
 	for i, d := range durations {
-		raw[i] = g.utilityFn(d)
+		raw[i] = cfg.Utility(d)
 		if raw[i] < minRaw {
 			minRaw = raw[i]
 		}
@@ -159,12 +148,12 @@ func (g *AudioGenerator) Generate(item notif.Item) ([]notif.Presentation, error)
 	out := make([]notif.Presentation, 0, len(durations)+1)
 	out = append(out, notif.Presentation{
 		Level:   1,
-		Size:    g.metadataBytes,
-		Utility: g.metaFraction,
+		Size:    cfg.MetadataBytes,
+		Utility: cfg.MetaUtilityFraction,
 		Label:   "meta",
 	})
 	for i, d := range durations {
-		up := g.metaFraction + (1-g.metaFraction)*((raw[i]+shift)/maxRaw)
+		up := cfg.MetaUtilityFraction + (1-cfg.MetaUtilityFraction)*((raw[i]+shift)/maxRaw)
 		if up > 1 {
 			up = 1
 		}
@@ -174,14 +163,14 @@ func (g *AudioGenerator) Generate(item notif.Item) ([]notif.Presentation, error)
 		}
 		out = append(out, notif.Presentation{
 			Level:       i + 2,
-			Size:        g.metadataBytes + AudioSizeBytes(d, g.bitrateKbps),
+			Size:        cfg.MetadataBytes + AudioSizeBytes(d, cfg.BitrateKbps),
 			Utility:     up,
 			DurationSec: d,
-			BitrateKbps: g.bitrateKbps,
+			BitrateKbps: cfg.BitrateKbps,
 			Label:       fmt.Sprintf("meta+%.0fs", d),
 		})
 	}
-	return out, nil
+	return out
 }
 
 // ImageGenerator produces a thumbnail ladder for image content: metadata,

@@ -223,34 +223,12 @@ func (b *Broker) Publish(topic TopicID, item notif.Item) {
 }
 
 // topicLess orders topics by kind then entity: the canonical topic order
-// used for flush draining and state export.
+// flushes drain in.
 func topicLess(a, b TopicID) bool {
 	if a.Kind != b.Kind {
 		return a.Kind < b.Kind
 	}
 	return a.Entity < b.Entity
-}
-
-// sortedTopics returns the broker's topic IDs in canonical order. Caller
-// holds b.mu.
-func (b *Broker) sortedTopics() []TopicID {
-	ids := make([]TopicID, 0, len(b.topics))
-	for t := range b.topics {
-		ids = append(ids, t)
-	}
-	sort.Slice(ids, func(i, j int) bool { return topicLess(ids[i], ids[j]) })
-	return ids
-}
-
-// sortedSubUsers returns a topic's subscriber IDs ascending. Caller holds
-// b.mu.
-func sortedSubUsers(subs map[notif.UserID]*subscription) []notif.UserID {
-	users := make([]notif.UserID, 0, len(subs))
-	for u := range subs {
-		users = append(users, u)
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-	return users
 }
 
 // flushModes drains pending items of subscriptions matching the predicate,
@@ -339,82 +317,6 @@ func (b *Broker) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return Stats{Published: b.published, Delivered: b.delivered, Topics: len(b.topics), Pending: b.pendingAll}
-}
-
-// PendingState is one subscription's buffered publications in canonical
-// exported form.
-type PendingState struct {
-	Topic TopicID
-	User  notif.UserID
-	Items []notif.Item
-}
-
-// BrokerState is the broker's replay-relevant state: the counters and every
-// non-empty pending buffer, in canonical order (topic by kind/entity, then
-// user ascending). Subscriptions themselves — modes, cadences, handlers —
-// are NOT captured: they are code plus registration calls, and restore
-// expects the caller to have re-registered them first.
-type BrokerState struct {
-	Published uint64
-	Delivered uint64
-	Pending   []PendingState
-}
-
-// ExportState captures the broker's counters and pending buffers.
-func (b *Broker) ExportState() BrokerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := BrokerState{Published: b.published, Delivered: b.delivered}
-	for _, t := range b.sortedTopics() {
-		subs := b.topics[t]
-		for _, u := range sortedSubUsers(subs) {
-			sub := subs[u]
-			if len(sub.pending) == 0 {
-				continue
-			}
-			s.Pending = append(s.Pending, PendingState{
-				Topic: t,
-				User:  u,
-				Items: append([]notif.Item(nil), sub.pending...),
-			})
-		}
-	}
-	return s
-}
-
-// RestoreState overwrites the counters and installs pending buffers into
-// already-registered subscriptions. Every PendingState must reference an
-// existing subscription: pending items cannot outlive the handler that
-// would drain them, so restore order is subscribe-then-restore.
-func (b *Broker) RestoreState(s BrokerState) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, p := range s.Pending {
-		sub := b.topics[p.Topic][p.User]
-		if sub == nil {
-			return fmt.Errorf("%w: restore pending for user %d topic %s", ErrNotSubscribed, p.User, p.Topic)
-		}
-		sub.pending = append([]notif.Item(nil), p.Items...)
-	}
-	b.published = s.Published
-	b.delivered = s.Delivered
-	// Rebuild the dirty set and pending counters from the ground truth; the
-	// walk is O(all topics) but restore is a once-per-recovery event.
-	clear(b.dirty)
-	b.pendingAll, b.pendingRound = 0, 0
-	for t, subs := range b.topics {
-		for u, sub := range subs {
-			if len(sub.pending) == 0 {
-				continue
-			}
-			b.dirty[subKey{topic: t, user: u}] = struct{}{}
-			b.pendingAll += len(sub.pending)
-			if sub.mode == ModeRound {
-				b.pendingRound += len(sub.pending)
-			}
-		}
-	}
-	return nil
 }
 
 // PendingRound counts publications buffered in round-mode subscriptions

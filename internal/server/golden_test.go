@@ -197,7 +197,7 @@ type goldenShardState struct {
 	lastSeq                uint64
 	users                  []core.UserState
 	inbox                  []core.UserQueue
-	broker                 pubsub.BrokerState
+	broker                 core.BrokerState
 	collector              metrics.CollectorState
 	feeds                  []userFeed
 }
@@ -258,10 +258,10 @@ func goldenState() goldenShardState {
 		Device: v.deviceState(st.round, false, 1, network.StateOff),
 	}}
 	st.inbox = []core.UserQueue{{User: u2, Items: []sched.Queued{v.queued()}}}
-	st.broker = pubsub.BrokerState{
+	st.broker = core.BrokerState{
 		Published: v.u64(),
 		Delivered: v.u64(),
-		Pending: []pubsub.PendingState{
+		Pending: []core.PendingState{
 			{Topic: topicA, User: u1, Items: []notif.Item{v.item(), v.item()}},
 			{Topic: topicB, User: u2, Items: []notif.Item{v.item()}},
 		},

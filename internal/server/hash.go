@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 
 	"github.com/richnote/richnote/internal/notif"
 )
@@ -50,15 +51,29 @@ func newRing(shards, replicas int) *ring {
 	return r
 }
 
-// shardFor maps a user to its owning shard.
+// shardFor maps a user to its owning shard: the first ring point at or
+// after the FNV-1a hash of "user:<decimal id>". It runs on every publish
+// and feed read, so the key is rendered into a stack buffer and hashed
+// inline; TestShardForMatchesFormattedHash holds it to zero allocations.
 func (r *ring) shardFor(u notif.UserID) int {
-	h := hash64(fmt.Sprintf("user:%d", u))
+	var buf [32]byte
+	key := strconv.AppendInt(append(buf[:0], "user:"...), int64(u), 10)
+	h := uint64(fnvOffset64)
+	for _, b := range key {
+		h = (h ^ uint64(b)) * fnvPrime64
+	}
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap around the circle
 	}
 	return r.points[i].shard
 }
+
+// FNV-1a's 64-bit parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 func hash64(s string) uint64 {
 	h := fnv.New64a()

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"github.com/richnote/richnote/internal/notif"
@@ -64,6 +66,31 @@ func TestRingSingleShard(t *testing.T) {
 	for u := notif.UserID(1); u <= 100; u++ {
 		if s := r.shardFor(u); s != 0 {
 			t.Fatalf("single-shard ring mapped user %d to %d", u, s)
+		}
+	}
+}
+
+// TestShardForMatchesFormattedHash pins placement: the inline FNV-1a over
+// a stack buffer must map every user exactly where hashing the formatted
+// key with hash/fnv did, and must not allocate.
+func TestShardForMatchesFormattedHash(t *testing.T) {
+	for _, shards := range []int{1, 4, 8} {
+		r := newRing(shards, 0)
+		for u := notif.UserID(1); u <= 100000; u++ {
+			h := hash64(fmt.Sprintf("user:%d", u))
+			i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+			if i == len(r.points) {
+				i = 0
+			}
+			if got, want := r.shardFor(u), r.points[i].shard; got != want {
+				t.Fatalf("%d shards: user %d maps to shard %d, formatted-key hash to %d", shards, u, got, want)
+			}
+		}
+	}
+	r := newRing(4, 0)
+	for _, u := range []notif.UserID{7, 1 << 40, -3} {
+		if allocs := testing.AllocsPerRun(100, func() { _ = r.shardFor(u) }); allocs != 0 {
+			t.Fatalf("shardFor(%d) allocated %.1f objects/op, want 0", u, allocs)
 		}
 	}
 }

@@ -156,11 +156,8 @@ func (s *Server) handleDeliveries(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	user := notif.UserID(id)
-	ds := s.Deliveries(user)
-	if ds == nil {
-		ds = []notif.Delivery{}
-	}
-	writeJSON(w, http.StatusOK, DeliveriesResponse{User: user, Deliveries: ds})
+	sh := s.shards[s.ring.shardFor(user)]
+	writeFeed(w, func(b []byte) []byte { return sh.appendDeliveriesJSON(b, user) })
 }
 
 func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
@@ -233,7 +230,7 @@ func writeShardGauges(w http.ResponseWriter, snaps []ShardSnapshot, s *Server) {
 	for _, sn := range snaps {
 		printf("richnote_shard_queue_depth{shard=\"%d\"} %d\n", sn.Shard, sn.QueueDepth)
 	}
-	gaugeHeader("richnote_shard_broker_pending", "Publications buffered in round-mode subscriptions per shard.")
+	gaugeHeader("richnote_shard_broker_pending", "Publications held for their feed's cadence round per shard.")
 	for _, sn := range snaps {
 		printf("richnote_shard_broker_pending{shard=\"%d\"} %d\n", sn.Shard, sn.BrokerPending)
 	}

@@ -161,6 +161,7 @@ func (r *Router) Stop() {
 	if !r.coord.call(nil) {
 		return // never started, or already stopped
 	}
+	<-r.coord.done // the stop event is acknowledged just before the loop returns
 	if r.ts != nil {
 		r.ts.Close()
 	}
@@ -409,7 +410,7 @@ func (r *Router) handleDeliveries(w http.ResponseWriter, req *http.Request) {
 		r.unavailable(w, fmt.Sprintf("node %s no longer owns user %d's shard", p.name, user))
 		return
 	}
-	writeJSON(w, http.StatusOK, DeliveriesResponse{User: user, Deliveries: resp.Deliveries})
+	writeFeed(w, func(b []byte) []byte { return appendDeliveriesJSON(b, user, resp.Deliveries) })
 }
 
 // RouterTickResponse is the router's POST /v1/tick body. Rounds is

@@ -130,8 +130,8 @@ type ShardSnapshot struct {
 	Round int
 	Users int
 	// QueueDepth sums the scheduling-queue lengths across the shard's
-	// devices; BrokerPending counts publications still buffered in
-	// round-mode subscriptions.
+	// devices; BrokerPending counts publications held for their feed's
+	// cadence round, one per accepted envelope.
 	QueueDepth    int
 	BrokerPending int
 	// Backpressured counts publishes rejected for ingest overload (429);
@@ -316,8 +316,8 @@ func (sh *shard) drainIngest() {
 }
 
 // accept logs the envelope and hands it to the engine, which registers
-// the recipient if needed, subscribes it to the topic and buffers the item
-// in its broker until the next round drain.
+// the recipient if needed and buffers the item in the recipient's feed for
+// the topic until the feed's next round drain.
 func (sh *shard) accept(env envelope) {
 	// Log-on-accept: the envelope is durable before any of its effects.
 	// Everything the engine does with it is deterministic given engine
@@ -430,6 +430,14 @@ func (sh *shard) Deliveries(user notif.UserID) []notif.Delivery {
 	sh.feedMu.Lock()
 	defer sh.feedMu.Unlock()
 	return append([]notif.Delivery(nil), sh.feeds[user]...)
+}
+
+// appendDeliveriesJSON appends the user's feed as the GET deliveries
+// response body, encoded under feedMu straight from the feed.
+func (sh *shard) appendDeliveriesJSON(b []byte, user notif.UserID) []byte {
+	sh.feedMu.Lock()
+	defer sh.feedMu.Unlock()
+	return appendDeliveriesJSON(b, user, sh.feeds[user])
 }
 
 // publishSnapshot rebuilds the shard's read-side view from the engine's

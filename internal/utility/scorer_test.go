@@ -1,6 +1,7 @@
 package utility
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/richnote/richnote/internal/ml/forest"
@@ -66,4 +67,44 @@ func TestScorersAgreeOnFeatureSpace(t *testing.T) {
 			t.Fatalf("feature %d differs across extractions", i)
 		}
 	}
+}
+
+// TestForestScorerBatchConcurrent: every shard's round loop calls
+// ScoreBatch on the one shared scorer, so concurrent batches must not
+// share scratch; each must equal Score element by element. Run with -race.
+func TestForestScorerBatchConcurrent(t *testing.T) {
+	tr := smallTrace(t)
+	scorer, err := TrainForestScorer(tr, forest.Config{Trees: 15, Seed: 4})
+	if err != nil {
+		t.Fatalf("TrainForestScorer: %v", err)
+	}
+	const callers = 4
+	batches := make([][]*trace.Notification, callers)
+	for g := range batches {
+		// Different lengths, so a shared row buffer would also be resized
+		// under a concurrent reader.
+		for ui := g; ui < len(tr.Users); ui += callers {
+			for ni := range tr.Users[ui].Notifications {
+				batches[g] = append(batches[g], &tr.Users[ui].Notifications[ni])
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(ns []*trace.Notification) {
+			defer wg.Done()
+			var out []float64
+			for rep := 0; rep < 5; rep++ {
+				out = scorer.ScoreBatch(ns, out)
+				for i, n := range ns {
+					if want := scorer.Score(n); out[i] != want {
+						t.Errorf("batch score %d = %v, Score = %v", i, out[i], want)
+						return
+					}
+				}
+			}
+		}(batches[g])
+	}
+	wg.Wait()
 }

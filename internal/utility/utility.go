@@ -29,7 +29,7 @@ import (
 // ContentScorer predicts Uc(i) in [0, 1] for a trace notification.
 // Implementations must be safe for concurrent Score calls: the pipeline's
 // enrichment phase shards users across worker goroutines that share one
-// scorer.
+// scorer, and so do the server's shards.
 type ContentScorer interface {
 	Score(n *trace.Notification) float64
 }
@@ -40,8 +40,8 @@ type ContentScorer interface {
 // output must be bit-identical to calling Score element by element — the
 // batch exists to amortize per-call costs (the forest's arena walk is
 // tree-major, so cross-user batches stream each tree through the cache
-// once), never to change results. Callers fall back to a Score loop for
-// scorers without it.
+// once), never to change results. Concurrent calls must be safe, as for
+// Score. Callers fall back to a Score loop for scorers without it.
 type BatchScorer interface {
 	ScoreBatch(ns []*trace.Notification, out []float64) []float64
 }
@@ -50,12 +50,6 @@ type BatchScorer interface {
 // feature space.
 type ForestScorer struct {
 	Forest *forest.Forest
-
-	// rows is the reusable feature matrix for ScoreBatch. Guarded by the
-	// documented contract that ScoreBatch is single-caller (the server's
-	// round loop); concurrent Score calls remain safe as they do not touch
-	// it.
-	rows [][]float64
 }
 
 var (
@@ -69,18 +63,13 @@ func (s *ForestScorer) Score(n *trace.Notification) float64 {
 }
 
 // ScoreBatch implements BatchScorer over the forest's tree-major batch
-// walk. Unlike Score it is not safe for concurrent calls (it reuses the
-// feature-row buffer); the server drives it from a single shard
-// goroutine per round.
+// walk. Like Score it is safe for concurrent calls — every shard's round
+// loop shares the one scorer — so the feature rows are the call's own.
 func (s *ForestScorer) ScoreBatch(ns []*trace.Notification, out []float64) []float64 {
-	if cap(s.rows) < len(ns) {
-		s.rows = make([][]float64, 0, len(ns))
+	rows := make([][]float64, len(ns))
+	for i, n := range ns {
+		rows[i] = trace.Features(n)
 	}
-	rows := s.rows[:0]
-	for _, n := range ns {
-		rows = append(rows, trace.Features(n))
-	}
-	s.rows = rows
 	return s.Forest.PredictProbaBatch(rows, out)
 }
 
