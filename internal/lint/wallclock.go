@@ -20,9 +20,8 @@ var wallClockFuncs = map[string]bool{
 //
 // internal/server is in scope on purpose: its shard loop runs virtual
 // rounds, and its few deliberate wall-clock sites (self-tick ticker,
-// round-latency telemetry, ingest timestamps, load-generator latency)
-// carry //lint:allow wallclock directives so every new read is an
-// explicit decision.
+// round-latency telemetry, ingest timestamps) carry //lint:allow
+// wallclock directives so every new read is an explicit decision.
 //
 // Test files are exempt: timeouts and latency assertions in tests
 // legitimately wait on the real clock.

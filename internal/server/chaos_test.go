@@ -32,19 +32,11 @@ func TestChaosFaultInjectedDelivery(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	res, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:     ts.URL,
-		Events:      150,
-		Concurrency: 4,
-		Users:       12,
-		Seed:        9,
-		TickEvery:   25,
+	res := runLoad(context.Background(), loadOpts{
+		url: ts.URL, events: 150, workers: 4, users: 12, seed: 9, tickEvery: 25,
 	})
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
-	if res.Accepted == 0 {
-		t.Fatalf("load accepted nothing: %s", res)
+	if res.accepted == 0 {
+		t.Fatalf("load accepted nothing: %+v", res)
 	}
 
 	// Keep ticking until every queue drains. MaxAttempts bounds retries, so

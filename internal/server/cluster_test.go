@@ -163,19 +163,11 @@ func TestClusterRouterEndToEnd(t *testing.T) {
 		}
 	}
 
-	res, err := RunLoad(context.Background(), LoadConfig{
-		BaseURLs:    []string{tc.front.URL},
-		Events:      120,
-		Concurrency: 4,
-		Users:       12,
-		Seed:        7,
-		TickEvery:   25,
+	res := runLoad(context.Background(), loadOpts{
+		url: tc.front.URL, events: 120, workers: 4, users: 12, seed: 7, tickEvery: 25,
 	})
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
-	if res.Accepted != 120 {
-		t.Fatalf("accepted %d of 120 events: %s", res.Accepted, res)
+	if res.accepted != 120 {
+		t.Fatalf("accepted %d of 120 events: %+v", res.accepted, res)
 	}
 	drainCluster(t, tc)
 

@@ -95,24 +95,29 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
-func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
+// decodePublish reads and validates a POST /v1/publish body for either
+// front: a 1 MiB cap, no unknown fields, a known topic kind, and at least
+// one recipient (falling back to item.recipient). It defaults the item's
+// topic kind and arrival time. On a bad request it writes the 400 itself
+// and returns ok=false.
+func decodePublish(w http.ResponseWriter, r *http.Request) (topic pubsub.TopicID, recipients []notif.UserID, item notif.Item, ok bool) {
 	var req PublishRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "malformed publish request: "+err.Error())
-		return
+		return topic, nil, item, false
 	}
 	kind, err := parseTopicKind(req.Topic.Kind)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return topic, nil, item, false
 	}
-	recipients := req.Recipients
+	recipients = req.Recipients
 	if len(recipients) == 0 {
 		if req.Item.Recipient == 0 {
 			httpError(w, http.StatusBadRequest, "publish needs recipients or item.recipient")
-			return
+			return topic, nil, item, false
 		}
 		recipients = []notif.UserID{req.Item.Recipient}
 	}
@@ -122,10 +127,28 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	if req.Item.CreatedAt.IsZero() {
 		req.Item.CreatedAt = time.Now().UTC() //lint:allow wallclock ingest timestamps are real arrival times
 	}
-	topic := pubsub.TopicID{Kind: kind, Entity: req.Topic.Entity}
+	return pubsub.TopicID{Kind: kind, Entity: req.Topic.Entity}, recipients, req.Item, true
+}
+
+// pathUser parses the {id} path segment of a deliveries request, writing
+// the 400 itself and returning ok=false when it is not a positive integer.
+func pathUser(w http.ResponseWriter, r *http.Request) (notif.UserID, bool) {
+	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
+	if err != nil || id <= 0 {
+		httpError(w, http.StatusBadRequest, "bad user id")
+		return 0, false
+	}
+	return notif.UserID(id), true
+}
+
+func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
+	topic, recipients, item, ok := decodePublish(w, r)
+	if !ok {
+		return
+	}
 	var resp PublishResponse
 	for _, rcpt := range recipients {
-		if err := s.Publish(topic, rcpt, req.Item); err != nil {
+		if err := s.Publish(topic, rcpt, item); err != nil {
 			resp.Rejected++
 		} else {
 			resp.Accepted++
@@ -150,12 +173,10 @@ func retryAfterSeconds(d time.Duration) int {
 }
 
 func (s *Server) handleDeliveries(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil || id <= 0 {
-		httpError(w, http.StatusBadRequest, "bad user id")
+	user, ok := pathUser(w, r)
+	if !ok {
 		return
 	}
-	user := notif.UserID(id)
 	sh := s.shards[s.ring.shardFor(user)]
 	writeFeed(w, func(b []byte) []byte { return sh.appendDeliveriesJSON(b, user) })
 }

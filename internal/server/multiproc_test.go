@@ -2,12 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net"
 	"net/http"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strconv"
 	"strings"
 	"syscall"
@@ -19,12 +19,12 @@ import (
 
 // TestMultiProcessCluster is the acceptance test for the multi-node
 // deployment: real richnote-serve processes — one router, three shard-owner
-// nodes sharing a WAL directory — driven by the real richnote-load binary
-// through the router. One node is SIGKILLed mid-run; the router's probes
-// must notice, command crash takeover of the orphaned shards from shared
-// storage, and the load run must still deliver every event. Afterwards the
-// cluster drains and the cross-node conservation invariant is checked over
-// the router's aggregated /metrics.
+// nodes sharing a WAL directory — driven by the in-process closed loop
+// (runLoad) through the router's real socket. One node is SIGKILLed
+// mid-run; the router's probes must notice, command crash takeover of the
+// orphaned shards from shared storage, and the load run must still deliver
+// every event. Afterwards the cluster drains and the cross-node
+// conservation invariant is checked over the router's aggregated /metrics.
 func TestMultiProcessCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process cluster test skipped in -short mode")
@@ -38,18 +38,11 @@ func TestMultiProcessCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binDir := t.TempDir()
-	serveBin := filepath.Join(binDir, "richnote-serve")
-	loadBin := filepath.Join(binDir, "richnote-load")
-	for bin, pkg := range map[string]string{
-		serveBin: "./cmd/richnote-serve",
-		loadBin:  "./cmd/richnote-load",
-	} {
-		cmd := exec.Command(goBin, "build", "-race", "-o", bin, pkg)
-		cmd.Dir = root
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", pkg, err, out)
-		}
+	serveBin := filepath.Join(t.TempDir(), "richnote-serve")
+	build := exec.Command(goBin, "build", "-race", "-o", serveBin, "./cmd/richnote-serve")
+	build.Dir = root
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building richnote-serve: %v\n%s", err, out)
 	}
 
 	const shards = 6
@@ -113,32 +106,27 @@ func TestMultiProcessCluster(t *testing.T) {
 	waitHTTP(t, routerURL+"/healthz", 15*time.Second, logs["router"])
 
 	// Drive load through the router in the background.
-	load := exec.Command(loadBin,
-		"-addr="+routerURL,
-		"-events=1500", "-concurrency=6", "-users=40",
-		"-tick-every=100", "-timeout=120s",
-	)
-	var loadOut bytes.Buffer
-	load.Stdout, load.Stderr = &loadOut, &loadOut
-	if err := load.Start(); err != nil {
-		t.Fatalf("starting richnote-load: %v", err)
-	}
-	loadDone := make(chan error, 1)
-	go func() { loadDone <- load.Wait() }()
-	t.Cleanup(func() { _ = load.Process.Kill() })
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	loadDone := make(chan loadResult, 1)
+	go func() {
+		loadDone <- runLoad(ctx, loadOpts{
+			url: routerURL, events: 1500, workers: 6, users: 40, seed: 42, tickEvery: 100,
+		})
+	}()
 
 	// Wait until real traffic is flowing, then kill one node cold.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if metricSum(t, httpGetBody(t, routerURL+"/metrics"), "richnote_router_forwarded_publishes_total") >= 200 {
+		if metricSum(t, httpGet(t, routerURL+"/metrics"), "richnote_router_forwarded_publishes_total") >= 200 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("router never saw 200 forwarded publishes\nrouter log:\n%s\nload output:\n%s", logs["router"], &loadOut)
+			t.Fatalf("router never saw 200 forwarded publishes\nrouter log:\n%s", logs["router"])
 		}
 		select {
-		case err := <-loadDone:
-			t.Fatalf("load finished before the kill (err %v); raise -events\n%s", err, &loadOut)
+		case res := <-loadDone:
+			t.Fatalf("load finished before the kill (%+v); raise events", res)
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
@@ -152,7 +140,7 @@ func TestMultiProcessCluster(t *testing.T) {
 	deadline = time.Now().Add(20 * time.Second)
 	for {
 		var hr RouterHealthResponse
-		if err := json.Unmarshal([]byte(httpGetBody(t, routerURL+"/healthz")), &hr); err == nil {
+		if err := json.Unmarshal([]byte(httpGet(t, routerURL+"/healthz")), &hr); err == nil {
 			covered := make(map[int]bool)
 			bDown := false
 			for _, nh := range hr.Nodes {
@@ -176,20 +164,9 @@ func TestMultiProcessCluster(t *testing.T) {
 
 	// The load run must finish with every event accepted: events bound for
 	// the dead node's shards ride 503 + Retry-After until the survivors own
-	// them.
-	select {
-	case err := <-loadDone:
-		if err != nil {
-			t.Fatalf("richnote-load failed: %v\n%s", err, &loadOut)
-		}
-	case <-time.After(120 * time.Second):
-		t.Fatalf("richnote-load never finished\n%s", &loadOut)
-	}
-	out := loadOut.String()
-	accepted := intField(t, out, "accepted")
-	failed := intField(t, out, "failed")
-	if accepted != 1500 || failed != 0 {
-		t.Fatalf("load accepted=%d failed=%d, want 1500/0\n%s", accepted, failed, out)
+	// them. ctx bounds the run at 120 s.
+	if res := <-loadDone; res.accepted != 1500 || res.failed != 0 {
+		t.Fatalf("load accepted=%d failed=%d, want 1500/0", res.accepted, res.failed)
 	}
 
 	// Drain every queue through the router, then check conservation on the
@@ -202,7 +179,7 @@ func TestMultiProcessCluster(t *testing.T) {
 			t.Fatalf("tick: %v", err)
 		}
 		resp.Body.Close()
-		body := httpGetBody(t, routerURL+"/metrics")
+		body := httpGet(t, routerURL+"/metrics")
 		if metricSum(t, body, "richnote_shard_queue_depth") == 0 &&
 			metricSum(t, body, "richnote_shard_broker_pending") == 0 &&
 			metricSum(t, body, "richnote_shard_ingest_depth") == 0 {
@@ -213,7 +190,7 @@ func TestMultiProcessCluster(t *testing.T) {
 	if !drained {
 		t.Fatal("cluster queues never drained after the run")
 	}
-	body := httpGetBody(t, routerURL+"/metrics")
+	body := httpGet(t, routerURL+"/metrics")
 	arrived := metricSum(t, body, "richnote_notifications_arrived_total")
 	delivered := metricSum(t, body, "richnote_notifications_delivered_total")
 	dropped := metricSum(t, body, "richnote_dropped_total")
@@ -243,7 +220,7 @@ func TestMultiProcessCluster(t *testing.T) {
 	deadline = time.Now().Add(30 * time.Second)
 	for {
 		var hr RouterHealthResponse
-		if err := json.Unmarshal([]byte(httpGetBody(t, routerURL+"/healthz")), &hr); err == nil {
+		if err := json.Unmarshal([]byte(httpGet(t, routerURL+"/healthz")), &hr); err == nil {
 			covered := make(map[int]bool)
 			bOwns := 0
 			for _, nh := range hr.Nodes {
@@ -265,7 +242,7 @@ func TestMultiProcessCluster(t *testing.T) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	body = httpGetBody(t, routerURL+"/metrics")
+	body = httpGet(t, routerURL+"/metrics")
 	if got := metricSum(t, body, "richnote_router_handoffs_total"); got <= preRejoinHandoffs {
 		t.Errorf("rejoin moved no shards: handoffs %g, was %g", got, preRejoinHandoffs)
 	}
@@ -308,7 +285,7 @@ func TestMultiProcessCluster(t *testing.T) {
 	waitHTTP(t, router2URL+"/healthz", 15*time.Second, logs["router2"])
 
 	var hr RouterHealthResponse
-	if err := json.Unmarshal([]byte(httpGetBody(t, router2URL+"/healthz")), &hr); err != nil {
+	if err := json.Unmarshal([]byte(httpGet(t, router2URL+"/healthz")), &hr); err != nil {
 		t.Fatalf("restarted router healthz: %v\n%s", err, logs["router2"])
 	}
 	if float64(hr.MapVersion) <= preRestartVersion {
@@ -383,11 +360,6 @@ func waitHTTP(t *testing.T, url string, timeout time.Duration, log *bytes.Buffer
 	}
 }
 
-func httpGetBody(t *testing.T, url string) string {
-	t.Helper()
-	return httpGet(t, url)
-}
-
 // metricSum sums every sample of one metric family in a Prometheus text
 // exposition, across label sets.
 func metricSum(t *testing.T, body, name string) float64 {
@@ -411,18 +383,4 @@ func metricSum(t *testing.T, body, name string) float64 {
 		sum += v
 	}
 	return sum
-}
-
-// intField extracts `key=N` from richnote-load's summary line.
-func intField(t *testing.T, out, key string) int {
-	t.Helper()
-	m := regexp.MustCompile(key + `=(\d+)`).FindStringSubmatch(out)
-	if m == nil {
-		t.Fatalf("no %s= in load output:\n%s", key, out)
-	}
-	v, err := strconv.Atoi(m[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
 }

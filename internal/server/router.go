@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -324,40 +323,17 @@ func (r *Router) forwardPublish(v *view, topic pubsub.TopicID, user notif.UserID
 }
 
 func (r *Router) handlePublish(w http.ResponseWriter, req *http.Request) {
-	var body PublishRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed publish request: "+err.Error())
+	topic, recipients, item, ok := decodePublish(w, req)
+	if !ok {
 		return
 	}
-	kind, err := parseTopicKind(body.Topic.Kind)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	recipients := body.Recipients
-	if len(recipients) == 0 {
-		if body.Item.Recipient == 0 {
-			httpError(w, http.StatusBadRequest, "publish needs recipients or item.recipient")
-			return
-		}
-		recipients = []notif.UserID{body.Item.Recipient}
-	}
-	if body.Item.Topic == 0 {
-		body.Item.Topic = kind
-	}
-	if body.Item.CreatedAt.IsZero() {
-		body.Item.CreatedAt = time.Now().UTC() //lint:allow wallclock ingest timestamps are real arrival times
-	}
-	topic := pubsub.TopicID{Kind: kind, Entity: body.Topic.Entity}
 
 	v := r.view.Load()
 	var resp PublishResponse
 	backpressured, unavailable := false, false
 	retryAfter := 0
 	for _, rcpt := range recipients {
-		out := r.forwardPublish(v, topic, rcpt, body.Item)
+		out := r.forwardPublish(v, topic, rcpt, item)
 		switch out.status {
 		case publishAccepted:
 			resp.Accepted++
@@ -389,12 +365,10 @@ func (r *Router) handlePublish(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleDeliveries(w http.ResponseWriter, req *http.Request) {
-	id, err := strconv.ParseInt(req.PathValue("id"), 10, 64)
-	if err != nil || id <= 0 {
-		httpError(w, http.StatusBadRequest, "bad user id")
+	user, ok := pathUser(w, req)
+	if !ok {
 		return
 	}
-	user := notif.UserID(id)
 	p, err := r.route(r.view.Load(), user)
 	if err != nil {
 		r.unavailable(w, err.Error())

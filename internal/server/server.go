@@ -480,12 +480,6 @@ func (s *Server) Dropped() uint64 {
 	return total
 }
 
-// Rejected sums every publication turned away for any reason: backpressure
-// plus in-shard drops. Kept as the historical aggregate counter.
-func (s *Server) Rejected() uint64 {
-	return s.Backpressured() + s.Dropped()
-}
-
 // RetryAfter suggests how long a backpressured client should wait: one
 // wall-clock round when self-ticking, else one second.
 func (s *Server) RetryAfter() time.Duration {
