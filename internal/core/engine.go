@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 	"time"
@@ -75,12 +74,6 @@ func (c *UserConfig) applyDefaults() {
 		c.StartState = network.StateCell
 	}
 }
-
-// StreamFunc returns the RNG a device draws one of its random processes
-// from: stream is sim.StreamNetwork, sim.StreamEnergy or sim.StreamFaults.
-// The simulator passes sim.NewRNG; the server passes its own derivation,
-// and committed bytes pin both.
-type StreamFunc func(userSeed int64, stream int) *rand.Rand
 
 // EngineConfig configures an Engine.
 type EngineConfig struct {
@@ -211,7 +204,6 @@ type stagedNotif struct {
 // calls Step. An Engine is not safe for concurrent use.
 type Engine struct {
 	cfg           EngineConfig
-	streams       StreamFunc
 	roundsPerWeek int
 
 	broker *pubsub.Broker
@@ -270,9 +262,8 @@ type Engine struct {
 	aggLyap  lyapunov.Stats
 }
 
-// NewEngine returns an empty engine at round zero whose devices draw
-// their randomness from streams.
-func NewEngine(cfg EngineConfig, streams StreamFunc) *Engine {
+// NewEngine returns an empty engine at round zero.
+func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Epoch.IsZero() {
 		cfg.Epoch = time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
 	}
@@ -281,7 +272,6 @@ func NewEngine(cfg EngineConfig, streams StreamFunc) *Engine {
 	}
 	return &Engine{
 		cfg:           cfg,
-		streams:       streams,
 		roundsPerWeek: max(1, int(7*24*time.Hour/cfg.RoundLen)),
 		broker:        pubsub.NewBroker(),
 		col:           metrics.NewCollector(),
@@ -334,15 +324,17 @@ func (e *Engine) userSeed(user notif.UserID) int64 {
 
 // newDevice builds the device stack for one user: seeded network model,
 // battery, fault model, strategy and (for RichNote) Lyapunov controller.
-// Each random process draws from its own stream, so enabling faults never
-// perturbs the network walk or the battery jitter.
+// Each random process draws from its own stream, keyed
+// sim.StreamSeed(userSeed, stream), so enabling faults never perturbs the
+// network walk or the battery jitter, and every host — the server's shard,
+// Live, Pipeline.Run — draws the same streams for the same seed.
 func (e *Engine) newDevice(cfg *UserConfig) (*sched.Device, error) {
 	seed := e.userSeed(cfg.User)
-	netModel, err := network.NewModel(*cfg.NetworkMatrix, cfg.StartState, e.streams(seed, sim.StreamNetwork))
+	netModel, err := network.NewModelSeeded(*cfg.NetworkMatrix, cfg.StartState, sim.StreamSeed(seed, sim.StreamNetwork))
 	if err != nil {
 		return nil, err
 	}
-	battery, err := energy.NewBattery(energy.BatteryConfig{}, e.streams(seed, sim.StreamEnergy))
+	battery, err := energy.NewBatterySeeded(energy.BatteryConfig{}, sim.StreamSeed(seed, sim.StreamEnergy))
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +342,7 @@ func (e *Engine) newDevice(cfg *UserConfig) (*sched.Device, error) {
 	// success-only code.
 	var faults *network.FaultModel
 	if e.cfg.Faults.Enabled() {
-		faults, err = network.NewFaultModel(e.cfg.Faults, e.streams(seed, sim.StreamFaults))
+		faults, err = network.NewFaultModelSeeded(e.cfg.Faults, sim.StreamSeed(seed, sim.StreamFaults))
 		if err != nil {
 			return nil, err
 		}
@@ -774,15 +766,19 @@ func (e *Engine) Device(user notif.UserID) (*sched.Device, error) {
 
 // SetNetwork swaps a user's connectivity model (e.g. reaching home WiFi
 // or entering flight mode) from the current round on; the rounds the
-// device sat parked are replayed on the old model first. Queue and budget
-// state persist.
+// device sat parked are replayed on the old model first. The new walk
+// continues the user's one network stream where the old walk left it.
+// Queue and budget state persist.
 func (e *Engine) SetNetwork(user notif.UserID, matrix network.Matrix, start network.State) error {
 	dev, err := e.Device(user)
 	if err != nil {
 		return err
 	}
-	model, err := network.NewModel(matrix, start, e.streams(e.userSeed(user)^int64(e.round), sim.StreamNetwork))
+	model, err := network.NewModelSeeded(matrix, start, sim.StreamSeed(e.userSeed(user), sim.StreamNetwork))
 	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if err := model.Restore(start, dev.ExportState().NetworkDraws); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	return dev.SetNetwork(model)

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/richnote/richnote/internal/media"
 	"github.com/richnote/richnote/internal/network"
 	"github.com/richnote/richnote/internal/notif"
 	"github.com/richnote/richnote/internal/pubsub"
-	"github.com/richnote/richnote/internal/sim"
 	"github.com/richnote/richnote/internal/survey"
 	"github.com/richnote/richnote/internal/utility"
 	"github.com/richnote/richnote/internal/wal"
@@ -82,7 +82,7 @@ func emptyDirtyEngine(t *testing.T) *Engine {
 		Enricher:     testEnricher(t),
 		Faults:       network.FaultConfig{CellLoss: 0.2, CellDisconnect: 0.1},
 		AutoRegister: &UserConfig{NetworkMatrix: &m, WeeklyBudgetBytes: 1 << 30},
-	}, sim.NewRNG)
+	})
 }
 
 // dirtyEngine pre-registers a mix of strategies on an emptyDirtyEngine.
@@ -202,7 +202,7 @@ func TestStepDirtyZeroAlloc(t *testing.T) {
 		{1, 0, 0},
 		{1, 0, 0},
 	}
-	e := NewEngine(EngineConfig{Seed: 7, Enricher: testEnricher(t)}, sim.NewRNG)
+	e := NewEngine(EngineConfig{Seed: 7, Enricher: testEnricher(t)})
 	topic := pubsub.TopicID{Kind: notif.TopicFriendFeed, Entity: 1}
 	for u := notif.UserID(1); u <= 8; u++ {
 		err := e.AddUser(UserConfig{User: u, NetworkMatrix: &off, StartState: network.StateOff, WeeklyBudgetBytes: 1 << 30})
@@ -236,11 +236,37 @@ func TestStepDirtyZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestBytesPerRegisteredUser guards what an idle registered user costs
+// in live heap: the HeapAlloc growth across 10,000 AddUser calls, each
+// side taken after a GC. A device's random processes hold two-word
+// streams by value, so an idle user is about 1.4 KB; a math/rand source
+// per process (4.9 KB each) would blow the bound.
+func TestBytesPerRegisteredUser(t *testing.T) {
+	const users, limit = 10_000, 3_000
+	e := NewEngine(EngineConfig{Seed: 1, Enricher: testEnricher(t)})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for u := notif.UserID(1); u <= users; u++ {
+		if err := e.AddUser(UserConfig{User: u}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(e)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / users
+	t.Logf("%d B live heap per registered user", per)
+	if per > limit {
+		t.Fatalf("%d B live heap per registered user, want ≤ %d", per, limit)
+	}
+}
+
 // TestEngineBroadcastHasNoEncoding: the state format stores addressed
 // subscriptions only, so an engine that holds a broadcast one must refuse
 // to encode rather than write bytes that restore to something else.
 func TestEngineBroadcastHasNoEncoding(t *testing.T) {
-	e := NewEngine(EngineConfig{Enricher: testEnricher(t)}, sim.NewRNG)
+	e := NewEngine(EngineConfig{Enricher: testEnricher(t)})
 	if err := e.AddUser(UserConfig{User: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"github.com/richnote/richnote/internal/network"
 	"github.com/richnote/richnote/internal/notif"
 	"github.com/richnote/richnote/internal/pubsub"
-	"github.com/richnote/richnote/internal/sim"
 	"github.com/richnote/richnote/internal/wal"
 )
 
@@ -23,7 +22,7 @@ func offlineEngine(t *testing.T) *Engine {
 		Seed:         3,
 		Enricher:     testEnricher(t),
 		AutoRegister: &UserConfig{NetworkMatrix: &offlineMatrix, StartState: network.StateOff, WeeklyBudgetBytes: 1 << 30},
-	}, sim.NewRNG)
+	})
 }
 
 func mustAccept(t *testing.T, e *Engine, topic pubsub.TopicID, user notif.UserID, id int64) {

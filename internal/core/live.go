@@ -54,7 +54,7 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 		Seed:       cfg.Seed,
 		Enricher:   enricher,
 		OnDelivery: cfg.OnDelivery,
-	}, sim.NewRNG)
+	})
 	return &Live{kernel: sim.NewKernel(eng.cfg.Epoch), eng: eng}, nil
 }
 

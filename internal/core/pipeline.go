@@ -32,7 +32,6 @@ import (
 	"github.com/richnote/richnote/internal/notif"
 	"github.com/richnote/richnote/internal/obs"
 	"github.com/richnote/richnote/internal/sched"
-	"github.com/richnote/richnote/internal/sim"
 	"github.com/richnote/richnote/internal/survey"
 	"github.com/richnote/richnote/internal/trace"
 	"github.com/richnote/richnote/internal/utility"
@@ -478,7 +477,7 @@ func (p *Pipeline) runWorker(cfg RunConfig, w, workers int) (*Engine, error) {
 		PerRoundBudget:  cfg.PerRoundBudget,
 		DropUndelivered: !cfg.QueuedBaselines,
 		UseDominance:    cfg.UseDominance,
-	}, sim.NewRNG)
+	})
 	users := len(p.Trace.Users)
 	for ui := w; ui < users; ui += workers {
 		err := eng.AddUser(UserConfig{

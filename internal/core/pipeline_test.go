@@ -307,25 +307,25 @@ func TestRunReportPinned(t *testing.T) {
 		want string
 	}{
 		{"richnote", RunConfig{Strategy: StrategyRichNote, WeeklyBudgetBytes: 3 * mb, NetworkMatrix: &paper},
-			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:5567 DeliveredBytes:2274813400 UtilitySum:904.3649668920434 TrueUtilitySum:904.3649668920434 ClickedAndDelivered:1728 DeliveredBeforeClick:1600 EnergyJ:18321.422200000117 DelayRoundsSum:2624 LevelCounts:map[1:2617 2:103 3:23 4:1 6:2823] TransferFailures:0 RetriedDeliveries:0 DegradedDeliveries:0 Dropped:0 WastedEnergyJ:0 DelayP50Rounds:0 DelayP95Rounds:3} {Users:20 AvgQMB:5.637944936752319 MaxQMB:160.308837890625 AvgDrift:2.5458082660331547}"},
+			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:5587 DeliveredBytes:2255717400 UtilitySum:877.8607944098924 TrueUtilitySum:877.8607944098924 ClickedAndDelivered:1731 DeliveredBeforeClick:1565 EnergyJ:18262.905000000137 DelayRoundsSum:3350 LevelCounts:map[1:2662 2:104 3:19 4:3 6:2799] TransferFailures:0 RetriedDeliveries:0 DegradedDeliveries:0 Dropped:0 WastedEnergyJ:0 DelayP50Rounds:0 DelayP95Rounds:3} {Users:20 AvgQMB:7.042734622955322 MaxQMB:228.44009399414062 AvgDrift:-1.2325662681871126}"},
 		{"fifo", RunConfig{Strategy: StrategyFIFO, FixedLevel: 2, WeeklyBudgetBytes: 3 * mb},
 			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:158 DeliveredBytes:15831600 UtilitySum:10.456976648455496 TrueUtilitySum:10.456976648455496 ClickedAndDelivered:39 DeliveredBeforeClick:11 EnergyJ:1926.5399999999997 DelayRoundsSum:560 LevelCounts:map[2:158] TransferFailures:0 RetriedDeliveries:0 DegradedDeliveries:0 Dropped:0 WastedEnergyJ:0 DelayP50Rounds:4 DelayP95Rounds:5} {Users:0 AvgQMB:0 MaxQMB:0 AvgDrift:0}"},
 		{"util", RunConfig{Strategy: StrategyUtil, WeeklyBudgetBytes: 3 * mb, NetworkMatrix: &paper, MaxDeliveriesPerRound: 2},
-			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:541 DeliveredBytes:108308200 UtilitySum:155.89091055431464 TrueUtilitySum:155.89091055431464 ClickedAndDelivered:321 DeliveredBeforeClick:274 EnergyJ:1902.0273999999997 DelayRoundsSum:397 LevelCounts:map[3:541] TransferFailures:0 RetriedDeliveries:0 DegradedDeliveries:0 Dropped:0 WastedEnergyJ:0 DelayP50Rounds:0 DelayP95Rounds:4} {Users:0 AvgQMB:0 MaxQMB:0 AvgDrift:0}"},
+			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:491 DeliveredBytes:98298200 UtilitySum:140.74877120254266 TrueUtilitySum:140.74877120254266 ClickedAndDelivered:289 DeliveredBeforeClick:241 EnergyJ:1810.3573999999996 DelayRoundsSum:411 LevelCounts:map[3:491] TransferFailures:0 RetriedDeliveries:0 DegradedDeliveries:0 Dropped:0 WastedEnergyJ:0 DelayP50Rounds:0 DelayP95Rounds:4} {Users:0 AvgQMB:0 MaxQMB:0 AvgDrift:0}"},
 		{"util-queued", RunConfig{Strategy: StrategyUtil, WeeklyBudgetBytes: 3 * mb, QueuedBaselines: true},
 			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:80 DeliveredBytes:16016000 UtilitySum:31.81697691763742 TrueUtilitySum:31.81697691763742 ClickedAndDelivered:63 DeliveredBeforeClick:14 EnergyJ:1180.3999999999999 DelayRoundsSum:636 LevelCounts:map[3:80] TransferFailures:0 RetriedDeliveries:0 DegradedDeliveries:0 Dropped:0 WastedEnergyJ:0 DelayP50Rounds:7 DelayP95Rounds:19} {Users:0 AvgQMB:0 MaxQMB:0 AvgDrift:0}"},
 		{"util-per-round", RunConfig{Strategy: StrategyUtil, WeeklyBudgetBytes: 50 * mb, PerRoundBudget: true, NetworkMatrix: &paper},
-			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:3020 DeliveredBytes:604604000 UtilitySum:493.0259587788834 TrueUtilitySum:493.0259587788834 ClickedAndDelivered:983 DeliveredBeforeClick:914 EnergyJ:7054.587200000004 DelayRoundsSum:1315 LevelCounts:map[3:3020] TransferFailures:0 RetriedDeliveries:0 DegradedDeliveries:0 Dropped:0 WastedEnergyJ:0 DelayP50Rounds:0 DelayP95Rounds:2} {Users:0 AvgQMB:0 MaxQMB:0 AvgDrift:0}"},
+			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:3007 DeliveredBytes:602001400 UtilitySum:484.406011769869 TrueUtilitySum:484.406011769869 ClickedAndDelivered:984 DeliveredBeforeClick:894 EnergyJ:7152.805000000002 DelayRoundsSum:1738 LevelCounts:map[3:3007] TransferFailures:0 RetriedDeliveries:0 DegradedDeliveries:0 Dropped:0 WastedEnergyJ:0 DelayP50Rounds:0 DelayP95Rounds:3} {Users:0 AvgQMB:0 MaxQMB:0 AvgDrift:0}"},
 		{"richnote-dominance", RunConfig{Strategy: StrategyRichNote, WeeklyBudgetBytes: 3 * mb, UseDominance: true},
-			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:5604 DeliveredBytes:16220800 UtilitySum:38.26391133864356 TrueUtilitySum:38.26391133864356 ClickedAndDelivered:1742 DeliveredBeforeClick:1742 EnergyJ:5573.019999999981 DelayRoundsSum:0 LevelCounts:map[1:5455 2:147 3:2] TransferFailures:0 RetriedDeliveries:0 DegradedDeliveries:0 Dropped:0 WastedEnergyJ:0 DelayP50Rounds:0 DelayP95Rounds:0} {Users:20 AvgQMB:0 MaxQMB:0 AvgDrift:12.885931502659457}"},
+			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:5604 DeliveredBytes:16220800 UtilitySum:38.26391133864356 TrueUtilitySum:38.26391133864356 ClickedAndDelivered:1742 DeliveredBeforeClick:1742 EnergyJ:5573.019999999981 DelayRoundsSum:0 LevelCounts:map[1:5455 2:147 3:2] TransferFailures:0 RetriedDeliveries:0 DegradedDeliveries:0 Dropped:0 WastedEnergyJ:0 DelayP50Rounds:0 DelayP95Rounds:0} {Users:20 AvgQMB:0 MaxQMB:0 AvgDrift:11.861064481382822}"},
 		{"richnote-faults", RunConfig{Strategy: StrategyRichNote, WeeklyBudgetBytes: 3 * mb, NetworkMatrix: &paper,
 			Faults:      network.FaultConfig{CellLoss: 0.3, CellDisconnect: 0.1, WifiLoss: 0.05},
 			MaxAttempts: 3, DegradeOnFailure: true},
-			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:5437 DeliveredBytes:2558787400 UtilitySum:1015.4969319438621 TrueUtilitySum:1015.4969319438621 ClickedAndDelivered:1682 DeliveredBeforeClick:1460 EnergyJ:20851.228950000117 DelayRoundsSum:4406 LevelCounts:map[1:2113 2:89 3:29 4:5 5:99 6:3102] TransferFailures:1595 RetriedDeliveries:1087 DegradedDeliveries:218 Dropped:71 WastedEnergyJ:36.53675 DelayP50Rounds:0 DelayP95Rounds:3} {Users:20 AvgQMB:10.134106874465942 MaxQMB:188.36288452148438 AvgDrift:2.1609239051282105}"},
+			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:5454 DeliveredBytes:2538690800 UtilitySum:983.3537983643644 TrueUtilitySum:983.3537983643644 ClickedAndDelivered:1689 DeliveredBeforeClick:1403 EnergyJ:20980.96550000013 DelayRoundsSum:5172 LevelCounts:map[1:2157 2:100 3:18 4:5 5:86 6:3088] TransferFailures:1693 RetriedDeliveries:1124 DegradedDeliveries:187 Dropped:85 WastedEnergyJ:25.3047 DelayP50Rounds:0 DelayP95Rounds:4} {Users:20 AvgQMB:11.659963130950928 MaxQMB:240.4632568359375 AvgDrift:-0.024701001266879193}"},
 		{"fifo-faults", RunConfig{Strategy: StrategyFIFO, WeeklyBudgetBytes: 10 * mb, QueuedBaselines: true,
 			Faults:      network.FaultConfig{CellLoss: 0.3, CellDisconnect: 0.1},
 			MaxAttempts: 2},
-			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:279 DeliveredBytes:55855800 UtilitySum:35.58414893991052 TrueUtilitySum:35.58414893991052 ClickedAndDelivered:72 DeliveredBeforeClick:1 EnergyJ:5904.636274999998 DelayRoundsSum:6089 LevelCounts:map[3:279] TransferFailures:189 RetriedDeliveries:91 DegradedDeliveries:0 Dropped:49 WastedEnergyJ:140.24127500000003 DelayP50Rounds:22 DelayP95Rounds:41} {Users:0 AvgQMB:0 MaxQMB:0 AvgDrift:0}"},
+			"{Users:20 Arrived:5604 ClickedTotal:1742 Delivered:280 DeliveredBytes:56056000 UtilitySum:37.274419796594245 TrueUtilitySum:37.274419796594245 ClickedAndDelivered:79 DeliveredBeforeClick:1 EnergyJ:6045.486524999999 DelayRoundsSum:6091 LevelCounts:map[3:280] TransferFailures:200 RetriedDeliveries:78 DegradedDeliveries:0 Dropped:61 WastedEnergyJ:139.58652499999997 DelayP50Rounds:22 DelayP95Rounds:40} {Users:0 AvgQMB:0 MaxQMB:0 AvgDrift:0}"},
 	}
 	for _, tc := range cases {
 		tc.cfg.Workers = 3

@@ -56,7 +56,7 @@ func UserQueueFields(c *wal.Codec, q *UserQueue) {
 // on which users are parked, then exports the live components and writes
 // them. Decoding, it reads them and rebuilds the engine, which must be
 // freshly constructed: devices are re-created from their stored configs
-// (re-seeding their RNG streams), subscriptions re-registered, and every
+// (re-keying their random streams), subscriptions re-registered, and every
 // component restored through its own owner method. A walk that cannot
 // proceed — a decode into a used engine, an encode of broadcast
 // subscriptions, which the format cannot represent — latches its reason

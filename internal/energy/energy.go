@@ -21,6 +21,7 @@ import (
 	"math/rand"
 
 	"github.com/richnote/richnote/internal/network"
+	"github.com/richnote/richnote/internal/sim"
 )
 
 // TransferModel holds the per-interface energy parameters in joules.
@@ -93,8 +94,7 @@ type Battery struct {
 	rechargeEndHour   int
 	rechargePerHour   float64
 
-	rng   *rand.Rand
-	draws uint64 // Float64 draws consumed, for snapshot/restore
+	rng sim.Stream
 }
 
 // BatteryConfig configures a Battery.
@@ -112,8 +112,19 @@ type BatteryConfig struct {
 	RechargePerHour float64
 }
 
-// NewBattery builds a battery; rng adds per-user jitter to the drain.
+// NewBattery builds a battery whose jitter stream is keyed by one draw
+// from rng; it adapts callers holding a *rand.Rand to NewBatterySeeded.
 func NewBattery(cfg BatteryConfig, rng *rand.Rand) (*Battery, error) {
+	if rng == nil {
+		return nil, errors.New("energy: nil rng")
+	}
+	return NewBatterySeeded(cfg, rng.Int63())
+}
+
+// NewBatterySeeded builds a battery whose per-user drain jitter draws from
+// the seekable stream keyed by seed; core.Engine keys each device's as
+// sim.StreamSeed(userSeed, sim.StreamEnergy).
+func NewBatterySeeded(cfg BatteryConfig, seed int64) (*Battery, error) {
 	if cfg.CapacityJ == 0 {
 		cfg.CapacityJ = 37_000
 	}
@@ -135,9 +146,6 @@ func NewBattery(cfg BatteryConfig, rng *rand.Rand) (*Battery, error) {
 	if cfg.RechargePerHour == 0 {
 		cfg.RechargePerHour = 0.25
 	}
-	if rng == nil {
-		return nil, errors.New("energy: nil rng")
-	}
 	return &Battery{
 		capacityJ:         cfg.CapacityJ,
 		level:             cfg.InitialLevel,
@@ -145,7 +153,7 @@ func NewBattery(cfg BatteryConfig, rng *rand.Rand) (*Battery, error) {
 		rechargeStartHour: cfg.RechargeStartHour,
 		rechargeEndHour:   cfg.RechargeEndHour,
 		rechargePerHour:   cfg.RechargePerHour,
-		rng:               rng,
+		rng:               sim.NewStream(seed),
 	}, nil
 }
 
@@ -173,17 +181,16 @@ func (b *Battery) Tick(hourOfDay int) {
 	} else {
 		b.level -= b.drainPerHour * (0.5 + b.rng.Float64())
 	}
-	b.draws++
 	b.level = math.Max(0, math.Min(1, b.level))
 }
 
 // FastForward applies k consecutive Ticks in one call; hourAt returns the
-// hour of day for the i-th skipped tick (i in [0, k)). There is no closed
-// form for the batch — the jitter stream has no jump-ahead and the level
-// clamps per tick — so the ticks are replayed in a tight loop over the
-// arena-resident RNG, which is bit-identical to k separate Tick calls by
-// construction. Devices parked by the event-driven round loop use this to
-// catch their diurnal battery trajectory up on wake (DESIGN.md §14).
+// hour of day for the i-th skipped tick (i in [0, k)). The jitter stream
+// could seek past the k draws, but the level clamps per tick, so there is
+// no closed form for the batch: the ticks run in a tight loop over the
+// in-struct stream, a few ns each, bit-identical to k separate Tick calls
+// by construction. Devices parked by the event-driven round loop use this
+// to catch their diurnal battery trajectory up on wake (DESIGN.md §14).
 //
 // richnote:allocfree
 func (b *Battery) FastForward(k int, hourAt func(int) int) {
@@ -192,24 +199,22 @@ func (b *Battery) FastForward(k int, hourAt func(int) int) {
 	}
 }
 
-// Draws returns how many RNG draws the battery has consumed. Together with
-// the seed it pins the jitter stream, for snapshot/restore.
-func (b *Battery) Draws() uint64 { return b.draws }
+// Draws returns how many random draws the battery has consumed. Together
+// with the seed it pins the jitter stream, for snapshot/restore.
+func (b *Battery) Draws() uint64 { return b.rng.Draws() }
 
-// Restore sets the level and fast-forwards the RNG to the given draw count
-// on a freshly seeded battery, resuming the exact jitter sequence of the
-// snapshotted one.
+// Restore sets the level and seeks the jitter stream to the given draw
+// count on an identically keyed battery, resuming the exact jitter
+// sequence of the snapshotted one. Like network.Model.Restore it never
+// rewinds. Levels outside [0, 1], NaN included, are refused.
 func (b *Battery) Restore(level float64, draws uint64) error {
-	if level < 0 || level > 1 {
+	if !(level >= 0 && level <= 1) {
 		return fmt.Errorf("energy: restore level %f outside [0,1]", level)
 	}
-	if draws < b.draws {
-		return fmt.Errorf("energy: restore draws %d behind current %d", draws, b.draws)
+	if draws < b.rng.Draws() {
+		return fmt.Errorf("energy: restore draws %d behind current %d", draws, b.rng.Draws())
 	}
-	for b.draws < draws {
-		b.rng.Float64()
-		b.draws++
-	}
+	b.rng.Seek(draws)
 	b.level = level
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"github.com/richnote/richnote/internal/network"
+	"github.com/richnote/richnote/internal/sim"
 )
 
 func TestTransferJ(t *testing.T) {
@@ -154,5 +155,27 @@ func TestBatteryLevelBoundedProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBatteryRestoreFarSeek restores to a draw count no replay could
+// reach: Restore seeks, so it returns at once, and the next tick draws
+// exactly what a fresh stream sought to the same position does.
+func TestBatteryRestoreFarSeek(t *testing.T) {
+	const seed, far = 9, uint64(1) << 40
+	b, err := NewBatterySeeded(BatteryConfig{}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Restore(0.5, far); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if b.Draws() != far {
+		t.Fatalf("draws %d after restore, want %d", b.Draws(), far)
+	}
+	ref := sim.NewStream(seed)
+	ref.Seek(far)
+	if got, want := b.rng.Float64(), ref.Float64(); got != want {
+		t.Fatalf("draw at 2^40 = %v, want %v", got, want)
 	}
 }

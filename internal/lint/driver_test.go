@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -205,6 +206,38 @@ func TestDriverScopeGating(t *testing.T) {
 	for _, name := range []string{"spendcheck", "confined", "atomiccheck", "allocfree", "unitcheck"} {
 		if !got[name] {
 			t.Errorf("unscoped analyzer %s did not fire:\n%s", name, render(findings))
+		}
+	}
+}
+
+// TestSeedRandScopesDeviceRandomness: energy and core build every
+// device's random streams, so ambient randomness there is flagged like
+// anywhere else in the deterministic set.
+func TestSeedRandScopesDeviceRandomness(t *testing.T) {
+	const jitter = `package %s
+
+import "math/rand"
+
+func Jitter() float64 { return rand.Float64() }
+`
+	dir := writeModule(t, map[string]string{
+		"go.mod":           smokeGoMod,
+		"energy/jitter.go": fmt.Sprintf(jitter, "energy"),
+		"core/jitter.go":   fmt.Sprintf(jitter, "core"),
+	})
+	findings, err := lint.Run(dir, []string{"./..."}, []*lint.Analyzer{lint.SeedRand})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged := make(map[string]bool)
+	for _, f := range findings {
+		if f.Analyzer == "seedrand" && strings.Contains(f.Message, "global math/rand.Float64") {
+			flagged[filepath.Base(filepath.Dir(f.Pos.Filename))] = true
+		}
+	}
+	for _, pkg := range []string{"energy", "core"} {
+		if !flagged[pkg] {
+			t.Errorf("global rand.Float64 in %s not flagged:\n%s", pkg, render(findings))
 		}
 	}
 }

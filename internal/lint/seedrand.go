@@ -22,18 +22,21 @@ var seedRandGlobals = map[string]bool{
 }
 
 // SeedRand forbids ambient randomness in the deterministic packages:
-// pipeline builds must be byte-identical at any worker count (PR 1) and
-// shards must never share RNG state (PR 2), so every random draw has to
-// come from an injected, seed-derived *rand.Rand. Calls resolve through
-// the type checker, so a method named Intn on an injected generator is
-// never confused with the package-level function.
+// pipeline builds must be byte-identical at any worker count and shards
+// must never share RNG state, so every random draw has to come from a
+// seed-derived generator — a device's sim.Stream (see
+// network.NewModelSeeded) or, for bulk generation, a *rand.Rand from
+// sim.NewRNG. energy and core are in scope because they build device
+// randomness. Calls resolve through the type checker, so a method named
+// Intn on an injected generator is never confused with the package-level
+// function.
 var SeedRand = &Analyzer{
 	Name: "seedrand",
 	Doc: "forbid global math/rand functions, rand.Seed and time-derived RNG " +
-		"sources in deterministic packages; randomness must flow through an " +
-		"injected *rand.Rand constructed from a configured seed " +
-		"(see network.NewModelSeeded)",
-	Scope:        []string{"catalog", "trace", "network", "ml", "sim", "server"},
+		"sources in deterministic packages; randomness must come from a " +
+		"seed-derived sim.Stream (see network.NewModelSeeded) or a *rand.Rand " +
+		"from sim.NewRNG",
+	Scope:        []string{"catalog", "trace", "network", "energy", "core", "ml", "sim", "server"},
 	IncludeTests: true,
 	Run:          runSeedRand,
 }
@@ -53,10 +56,10 @@ func runSeedRand(p *Pass) {
 			switch {
 			case name == "Seed":
 				p.Reportf(call.Pos(),
-					"rand.Seed mutates the process-wide source; construct an injected *rand.Rand from a configured seed instead")
+					"rand.Seed mutates the process-wide source; draw from a sim.Stream keyed by a configured seed instead (see network.NewModelSeeded)")
 			case seedRandGlobals[name]:
 				p.Reportf(call.Pos(),
-					"global math/rand.%s draws from the shared ambient source and is nondeterministic under concurrency; use an injected *rand.Rand", name)
+					"global math/rand.%s draws from the shared ambient source and is nondeterministic under concurrency; draw from a seed-keyed sim.Stream (see network.NewModelSeeded)", name)
 			case name == "NewSource" || name == "NewPCG" || name == "NewChaCha8":
 				if tn, ok := p.timeDerived(file, call.Args); ok {
 					p.Reportf(call.Pos(),

@@ -2,7 +2,8 @@ package network
 
 import (
 	"fmt"
-	"math/rand"
+
+	"github.com/richnote/richnote/internal/sim"
 )
 
 // FaultConfig describes per-state transfer fault probabilities. The zero
@@ -94,38 +95,28 @@ type TransferOutcome struct {
 	Bytes int64
 }
 
-// FaultModel draws per-transfer fault outcomes from its own deterministic
-// RNG.
+// FaultModel draws per-transfer fault outcomes from its own seekable
+// random stream.
 //
 // Like Model, a FaultModel is NOT safe for concurrent use: each device owns
-// its fault model exclusively, seeded per user. A nil *FaultModel is valid
+// its fault model exclusively, keyed per user. A nil *FaultModel is valid
 // and never faults, which is how fault injection stays out of the hot path
 // when disabled. When a state's fault probabilities are all zero, Attempt
-// succeeds without drawing from the RNG, so enabling faults on CELL only
+// succeeds without drawing from the stream, so enabling faults on CELL only
 // does not perturb the outcome sequence WiFi transfers would see.
 type FaultModel struct {
-	cfg   FaultConfig
-	rng   *rand.Rand
-	draws uint64 // Float64 draws consumed, for snapshot/restore
+	cfg FaultConfig
+	rng sim.Stream
 }
 
-// NewFaultModel builds a fault model around an externally seeded RNG (the
-// simulator's per-user StreamFaults RNG).
-func NewFaultModel(cfg FaultConfig, rng *rand.Rand) (*FaultModel, error) {
+// NewFaultModelSeeded builds a fault model drawing from the stream keyed
+// by seed; core.Engine keys each device's as
+// sim.StreamSeed(userSeed, sim.StreamFaults).
+func NewFaultModelSeeded(cfg FaultConfig, seed int64) (*FaultModel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if rng == nil {
-		return nil, fmt.Errorf("network: nil rng for fault model")
-	}
-	return &FaultModel{cfg: cfg, rng: rng}, nil
-}
-
-// NewFaultModelSeeded builds a fault model with its own deterministic RNG,
-// for callers outside the simulator's stream discipline (the live server
-// shards construct one per device).
-func NewFaultModelSeeded(cfg FaultConfig, seed int64) (*FaultModel, error) {
-	return NewFaultModel(cfg, rand.New(rand.NewSource(seed)))
+	return &FaultModel{cfg: cfg, rng: sim.NewStream(seed)}, nil
 }
 
 // Config returns the fault configuration (zero for a nil model).
@@ -139,17 +130,17 @@ func (f *FaultModel) Config() FaultConfig {
 // Enabled reports whether this model can ever fault. Nil models never do.
 func (f *FaultModel) Enabled() bool { return f != nil && f.cfg.Enabled() }
 
-// Draws returns how many RNG draws the model has consumed (0 for nil).
+// Draws returns how many random draws the model has consumed (0 for nil).
 func (f *FaultModel) Draws() uint64 {
 	if f == nil {
 		return 0
 	}
-	return f.draws
+	return f.rng.Draws()
 }
 
-// Restore fast-forwards the RNG to the given draw count on a freshly
-// seeded model, resuming the exact random sequence of the snapshotted one.
-// A nil model only accepts zero draws.
+// Restore seeks the stream to the given draw count on an identically keyed
+// model, resuming the exact random sequence of the snapshotted one. Like
+// Model.Restore it never rewinds. A nil model only accepts zero draws.
 func (f *FaultModel) Restore(draws uint64) error {
 	if f == nil {
 		if draws != 0 {
@@ -157,13 +148,10 @@ func (f *FaultModel) Restore(draws uint64) error {
 		}
 		return nil
 	}
-	if draws < f.draws {
-		return fmt.Errorf("network: restore fault draws %d behind current %d", draws, f.draws)
+	if draws < f.rng.Draws() {
+		return fmt.Errorf("network: restore fault draws %d behind current %d", draws, f.rng.Draws())
 	}
-	for f.draws < draws {
-		f.rng.Float64()
-		f.draws++
-	}
+	f.rng.Seek(draws)
 	return nil
 }
 
@@ -179,7 +167,6 @@ func (f *FaultModel) Attempt(size int64, s State) TransferOutcome {
 		return TransferOutcome{Delivered: true, Bytes: size}
 	}
 	u := f.rng.Float64()
-	f.draws++
 	switch {
 	case u < loss:
 		return TransferOutcome{Delivered: false, Bytes: 0}
@@ -187,7 +174,6 @@ func (f *FaultModel) Attempt(size int64, s State) TransferOutcome {
 		// A strict prefix crossed the link: frac in [0,1) keeps the
 		// completed byte count strictly below size.
 		frac := f.rng.Float64()
-		f.draws++
 		b := int64(frac * float64(size))
 		if b >= size {
 			b = size - 1

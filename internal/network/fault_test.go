@@ -1,8 +1,9 @@
 package network
 
 import (
-	"math/rand"
 	"testing"
+
+	"github.com/richnote/richnote/internal/sim"
 )
 
 func TestFaultConfigValidate(t *testing.T) {
@@ -75,7 +76,7 @@ func TestZeroProbStateDrawsNoRandomness(t *testing.T) {
 
 func TestAttemptOutcomeDistribution(t *testing.T) {
 	cfg := FaultConfig{CellLoss: 0.3, CellDisconnect: 0.2}
-	f, err := NewFaultModel(cfg, rand.New(rand.NewSource(42)))
+	f, err := NewFaultModelSeeded(cfg, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,5 +149,45 @@ func TestNonPositiveSizeSucceedsWithoutDraw(t *testing.T) {
 	// is lost.
 	if got := f.Attempt(100, StateCell); got.Delivered {
 		t.Fatalf("certain loss delivered: %+v", got)
+	}
+}
+
+// TestRestoreFarSeek restores a walk and a fault model to a draw count no
+// replay could reach: Restore seeks, so it returns at once, and the next
+// draw is exactly what a fresh stream sought to the same position gives.
+func TestRestoreFarSeek(t *testing.T) {
+	const seed, far = 9, uint64(1) << 40
+	m, err := NewModelSeeded(PaperMatrix(), StateCell, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFaultModelSeeded(FaultConfig{CellLoss: 0.5}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Restore(StateWifi, far); err != nil {
+		t.Fatalf("Model.Restore: %v", err)
+	}
+	if err := f.Restore(far); err != nil {
+		t.Fatalf("FaultModel.Restore: %v", err)
+	}
+	if m.Draws() != far || f.Draws() != far || m.State() != StateWifi {
+		t.Fatalf("after restore: walk (%s, %d), faults %d; want (WIFI, %d), %d",
+			m.State(), m.Draws(), f.Draws(), far, far)
+	}
+	ref := sim.NewStream(seed)
+	ref.Seek(far)
+	want := ref.Float64()
+	if got := m.rng.Float64(); got != want {
+		t.Errorf("walk draw at 2^40 = %v, want %v", got, want)
+	}
+	if got := f.rng.Float64(); got != want {
+		t.Errorf("fault draw at 2^40 = %v, want %v", got, want)
+	}
+	if err := m.Restore(StateCell, far); err == nil {
+		t.Error("walk restore behind its own position accepted")
+	}
+	if err := f.Restore(far); err == nil {
+		t.Error("fault restore behind its own position accepted")
 	}
 }

@@ -13,7 +13,8 @@ package network
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+
+	"github.com/richnote/richnote/internal/sim"
 )
 
 // State is the connectivity state of a device.
@@ -107,75 +108,62 @@ func AlwaysCellMatrix() Matrix {
 
 // Model is a per-user Markov connectivity process.
 //
-// A Model is NOT safe for concurrent use: it owns a bare *rand.Rand and
-// mutates its state on every Step. Each device must own its model
-// exclusively — the simulator gives every user a model on its worker
-// goroutine, and each server shard constructs an independent seeded model
-// per device with NewModelSeeded so shards never share RNG state.
+// A Model is NOT safe for concurrent use: it mutates its state and its
+// random stream on every Step. Each device owns its model exclusively —
+// the simulator and every server shard key one per device with
+// NewModelSeeded, so no two devices share a stream.
 type Model struct {
 	matrix Matrix
 	state  State
-	rng    *rand.Rand
-	draws  uint64 // Float64 draws consumed; lets snapshot/restore replay the stream
+	rng    sim.Stream
 }
 
-// NewModel builds a model starting in the given state.
-func NewModel(m Matrix, start State, rng *rand.Rand) (*Model, error) {
+// NewModelSeeded builds a model starting in the given state, walking the
+// seekable random stream keyed by seed. Two models with the same seed walk
+// identical state sequences and models with different seeds are
+// independent; core.Engine keys each device's walk as
+// sim.StreamSeed(userSeed, sim.StreamNetwork).
+func NewModelSeeded(m Matrix, start State, seed int64) (*Model, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	if start != StateOff && start != StateCell && start != StateWifi {
 		return nil, fmt.Errorf("network: invalid start state %d", start)
 	}
-	if rng == nil {
-		return nil, errors.New("network: nil rng")
-	}
-	return &Model{matrix: m, state: start, rng: rng}, nil
-}
-
-// NewModelSeeded builds a model with its own deterministic RNG derived
-// from seed. It exists for callers outside the simulator's RNG-stream
-// discipline (the live server shards): two models with the same seed walk
-// identical state sequences, and models with different seeds are
-// independent, so per-device seeding keeps a sharded service deterministic
-// without sharing a Rand across goroutines.
-func NewModelSeeded(m Matrix, start State, seed int64) (*Model, error) {
-	return NewModel(m, start, rand.New(rand.NewSource(seed)))
+	return &Model{matrix: m, state: start, rng: sim.NewStream(seed)}, nil
 }
 
 // State returns the current connectivity state.
 func (m *Model) State() State { return m.state }
 
-// Draws returns how many RNG draws the model has consumed. Together with
-// the seed it pins the model's exact position in its random stream, which
-// is what snapshot/restore needs for bit-identical recovery.
-func (m *Model) Draws() uint64 { return m.draws }
+// Draws returns how many random draws the model has consumed. Together
+// with the seed it pins the model's exact position in its random stream,
+// which is what snapshot/restore needs for bit-identical recovery.
+func (m *Model) Draws() uint64 { return m.rng.Draws() }
 
-// Restore sets the connectivity state and fast-forwards the RNG to the
-// given draw count. It must be called on a freshly constructed model whose
-// RNG was seeded identically to the snapshotted one; after Restore the
-// model continues the exact random sequence the original would have.
+// Restore sets the connectivity state and seeks the stream to the given
+// draw count, in O(1). It must be called on a model keyed identically to
+// the snapshotted one; after Restore the model continues the exact random
+// sequence the original would have. Restore never rewinds: a draw count
+// behind the model's own means the model has already walked past the
+// snapshot, and is refused.
 func (m *Model) Restore(state State, draws uint64) error {
 	if state != StateOff && state != StateCell && state != StateWifi {
 		return fmt.Errorf("network: restore invalid state %d", int(state))
 	}
-	if draws < m.draws {
-		return fmt.Errorf("network: restore draws %d behind current %d", draws, m.draws)
+	if draws < m.rng.Draws() {
+		return fmt.Errorf("network: restore draws %d behind current %d", draws, m.rng.Draws())
 	}
-	for m.draws < draws {
-		m.rng.Float64()
-		m.draws++
-	}
+	m.rng.Seek(draws)
 	m.state = state
 	return nil
 }
 
-// StepN advances the chain k rounds and returns the final state. The
-// chain has no usable jump-ahead (each transition consumes one uniform
-// draw from a stream without skip support), so the steps are replayed in
-// a tight loop — bit-identical to k Step calls, which is what the
-// event-driven round loop relies on when waking a parked device
-// (DESIGN.md §14).
+// StepN advances the chain k rounds and returns the final state,
+// bit-identical to k Step calls, which is what the event-driven round loop
+// relies on when waking a parked device (DESIGN.md §14). The stream could
+// seek past the k draws, but the chain's state after k steps depends on
+// each of them, so the steps run one by one; each draw costs a few ns.
 //
 // richnote:allocfree
 func (m *Model) StepN(k int) State {
@@ -189,7 +177,6 @@ func (m *Model) StepN(k int) State {
 func (m *Model) Step() State {
 	row := m.matrix[index(m.state)]
 	u := m.rng.Float64()
-	m.draws++
 	acc := 0.0
 	for to, p := range row {
 		acc += p

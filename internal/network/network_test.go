@@ -2,7 +2,6 @@ package network
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -42,15 +41,11 @@ func TestValidateRejectsBadMatrix(t *testing.T) {
 }
 
 func TestNewModelValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := NewModel(PaperMatrix(), State(0), rng); err == nil {
+	if _, err := NewModelSeeded(PaperMatrix(), State(0), 1); err == nil {
 		t.Error("invalid start state accepted")
 	}
-	if _, err := NewModel(PaperMatrix(), StateCell, nil); err == nil {
-		t.Error("nil rng accepted")
-	}
 	bad := Matrix{}
-	if _, err := NewModel(bad, StateCell, rng); err == nil {
+	if _, err := NewModelSeeded(bad, StateCell, 1); err == nil {
 		t.Error("zero matrix accepted")
 	}
 }
@@ -58,10 +53,9 @@ func TestNewModelValidation(t *testing.T) {
 // The paper's chain is ergodic with uniform stationary distribution (the
 // matrix is doubly stochastic); verify empirical state shares approach 1/3.
 func TestPaperMatrixStationaryDistribution(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m, err := NewModel(PaperMatrix(), StateOff, rng)
+	m, err := NewModelSeeded(PaperMatrix(), StateOff, 2)
 	if err != nil {
-		t.Fatalf("NewModel: %v", err)
+		t.Fatalf("NewModelSeeded: %v", err)
 	}
 	counts := map[State]int{}
 	const steps = 60_000
@@ -77,10 +71,9 @@ func TestPaperMatrixStationaryDistribution(t *testing.T) {
 }
 
 func TestSelfTransitionProbability(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m, err := NewModel(PaperMatrix(), StateCell, rng)
+	m, err := NewModelSeeded(PaperMatrix(), StateCell, 3)
 	if err != nil {
-		t.Fatalf("NewModel: %v", err)
+		t.Fatalf("NewModelSeeded: %v", err)
 	}
 	stays, steps := 0, 40_000
 	prev := m.State()
@@ -98,10 +91,9 @@ func TestSelfTransitionProbability(t *testing.T) {
 }
 
 func TestAlwaysCellNeverLeaves(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m, err := NewModel(AlwaysCellMatrix(), StateCell, rng)
+	m, err := NewModelSeeded(AlwaysCellMatrix(), StateCell, 4)
 	if err != nil {
-		t.Fatalf("NewModel: %v", err)
+		t.Fatalf("NewModelSeeded: %v", err)
 	}
 	for i := 0; i < 1000; i++ {
 		if m.Step() != StateCell {
@@ -111,10 +103,9 @@ func TestAlwaysCellNeverLeaves(t *testing.T) {
 }
 
 func TestCellOnlyNeverWifi(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m, err := NewModel(CellOnlyMatrix(), StateCell, rng)
+	m, err := NewModelSeeded(CellOnlyMatrix(), StateCell, 5)
 	if err != nil {
-		t.Fatalf("NewModel: %v", err)
+		t.Fatalf("NewModelSeeded: %v", err)
 	}
 	for i := 0; i < 5000; i++ {
 		if m.Step() == StateWifi {

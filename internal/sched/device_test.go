@@ -18,14 +18,13 @@ type deviceFixture struct {
 
 func newFixture(t *testing.T, strategy Strategy, opts ...func(*DeviceConfig)) *deviceFixture {
 	t.Helper()
-	rng := sim.NewRNG(1, sim.StreamNetwork)
-	net, err := network.NewModel(network.AlwaysCellMatrix(), network.StateCell, rng)
+	net, err := network.NewModelSeeded(network.AlwaysCellMatrix(), network.StateCell, sim.StreamSeed(1, sim.StreamNetwork))
 	if err != nil {
-		t.Fatalf("network.NewModel: %v", err)
+		t.Fatalf("NewModelSeeded: %v", err)
 	}
-	bat, err := energy.NewBattery(energy.BatteryConfig{}, sim.NewRNG(1, sim.StreamEnergy))
+	bat, err := energy.NewBatterySeeded(energy.BatteryConfig{}, sim.StreamSeed(1, sim.StreamEnergy))
 	if err != nil {
-		t.Fatalf("NewBattery: %v", err)
+		t.Fatalf("NewBatterySeeded: %v", err)
 	}
 	col := metrics.NewCollector()
 	cfg := DeviceConfig{
@@ -176,10 +175,9 @@ func TestDeviceOfflineNeverDelivers(t *testing.T) {
 		{1, 0, 0},
 		{1, 0, 0},
 	}
-	rng := sim.NewRNG(2, sim.StreamNetwork)
-	net, err := network.NewModel(offMatrix, network.StateOff, rng)
+	net, err := network.NewModelSeeded(offMatrix, network.StateOff, sim.StreamSeed(2, sim.StreamNetwork))
 	if err != nil {
-		t.Fatalf("NewModel: %v", err)
+		t.Fatalf("NewModelSeeded: %v", err)
 	}
 	fx := newFixture(t, &RichNote{}, func(c *DeviceConfig) { c.Network = net })
 	d := fx.device
@@ -201,15 +199,15 @@ func TestDeviceOfflineNeverDelivers(t *testing.T) {
 }
 
 func TestDeviceStopsWhenBatteryDepleted(t *testing.T) {
-	bat, err := energy.NewBattery(energy.BatteryConfig{
+	bat, err := energy.NewBatterySeeded(energy.BatteryConfig{
 		CapacityJ:    100,
 		InitialLevel: 0.02, // 2 J available: below one transfer
 		DrainPerHour: 0.001,
 		// Recharge window placed where rounds never land.
 		RechargeStartHour: 3, RechargeEndHour: 4,
-	}, sim.NewRNG(3, sim.StreamEnergy))
+	}, sim.StreamSeed(3, sim.StreamEnergy))
 	if err != nil {
-		t.Fatalf("NewBattery: %v", err)
+		t.Fatalf("NewBatterySeeded: %v", err)
 	}
 	fx := newFixture(t, &RichNote{}, func(c *DeviceConfig) {
 		c.Battery = bat
@@ -256,13 +254,13 @@ func TestDepletedBatteryChargesNoOverhead(t *testing.T) {
 		InitialLevel:      0.02, // 2 J: below the cell batch overhead alone
 		RechargeStartHour: 3, RechargeEndHour: 4,
 	}
-	bat, err := energy.NewBattery(cfg, sim.NewRNG(3, sim.StreamEnergy))
+	bat, err := energy.NewBatterySeeded(cfg, sim.StreamSeed(3, sim.StreamEnergy))
 	if err != nil {
-		t.Fatalf("NewBattery: %v", err)
+		t.Fatalf("NewBatterySeeded: %v", err)
 	}
-	ref, err := energy.NewBattery(cfg, sim.NewRNG(3, sim.StreamEnergy))
+	ref, err := energy.NewBatterySeeded(cfg, sim.StreamSeed(3, sim.StreamEnergy))
 	if err != nil {
-		t.Fatalf("NewBattery: %v", err)
+		t.Fatalf("NewBatterySeeded: %v", err)
 	}
 	fx := newFixture(t, planAll{level: 1}, func(c *DeviceConfig) {
 		c.Battery = bat
@@ -300,13 +298,13 @@ func TestMisfitSelectionsChargeNoOverhead(t *testing.T) {
 		InitialLevel:      1,
 		RechargeStartHour: 3, RechargeEndHour: 4,
 	}
-	bat, err := energy.NewBattery(cfg, sim.NewRNG(3, sim.StreamEnergy))
+	bat, err := energy.NewBatterySeeded(cfg, sim.StreamSeed(3, sim.StreamEnergy))
 	if err != nil {
-		t.Fatalf("NewBattery: %v", err)
+		t.Fatalf("NewBatterySeeded: %v", err)
 	}
-	ref, err := energy.NewBattery(cfg, sim.NewRNG(3, sim.StreamEnergy))
+	ref, err := energy.NewBatterySeeded(cfg, sim.StreamSeed(3, sim.StreamEnergy))
 	if err != nil {
-		t.Fatalf("NewBattery: %v", err)
+		t.Fatalf("NewBatterySeeded: %v", err)
 	}
 	// Level 6 costs ~800 KB; one round of a 1 MB/week plan accrues ~6 KB, so
 	// the selection always misfits the data-plan check.
@@ -339,15 +337,14 @@ func TestMisfitSelectionsChargeNoOverhead(t *testing.T) {
 }
 
 func TestWifiDoesNotBillDataPlan(t *testing.T) {
-	rng := sim.NewRNG(4, sim.StreamNetwork)
 	wifiMatrix := network.Matrix{
 		{0, 0, 1},
 		{0, 0, 1},
 		{0, 0, 1},
 	}
-	net, err := network.NewModel(wifiMatrix, network.StateWifi, rng)
+	net, err := network.NewModelSeeded(wifiMatrix, network.StateWifi, sim.StreamSeed(4, sim.StreamNetwork))
 	if err != nil {
-		t.Fatalf("NewModel: %v", err)
+		t.Fatalf("NewModelSeeded: %v", err)
 	}
 	fx := newFixture(t, &RichNote{}, func(c *DeviceConfig) {
 		c.Network = net
@@ -402,9 +399,9 @@ func TestRoundResultQueueAfter(t *testing.T) {
 func offlineModel(t *testing.T) *network.Model {
 	t.Helper()
 	m := network.Matrix{{1, 0, 0}, {1, 0, 0}, {1, 0, 0}}
-	model, err := network.NewModel(m, network.StateOff, sim.NewRNG(9, sim.StreamNetwork))
+	model, err := network.NewModelSeeded(m, network.StateOff, sim.StreamSeed(9, sim.StreamNetwork))
 	if err != nil {
-		t.Fatalf("NewModel: %v", err)
+		t.Fatalf("NewModelSeeded: %v", err)
 	}
 	return model
 }

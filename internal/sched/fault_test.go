@@ -20,13 +20,13 @@ import (
 func faultyFixture(t *testing.T, base int64, matrix network.Matrix, start network.State,
 	faults *network.FaultModel, opts ...func(*DeviceConfig)) *deviceFixture {
 	t.Helper()
-	net, err := network.NewModel(matrix, start, sim.NewRNG(base, sim.StreamNetwork))
+	net, err := network.NewModelSeeded(matrix, start, sim.StreamSeed(base, sim.StreamNetwork))
 	if err != nil {
-		t.Fatalf("network.NewModel: %v", err)
+		t.Fatalf("NewModelSeeded: %v", err)
 	}
-	bat, err := energy.NewBattery(energy.BatteryConfig{}, sim.NewRNG(base, sim.StreamEnergy))
+	bat, err := energy.NewBatterySeeded(energy.BatteryConfig{}, sim.StreamSeed(base, sim.StreamEnergy))
 	if err != nil {
-		t.Fatalf("NewBattery: %v", err)
+		t.Fatalf("NewBatterySeeded: %v", err)
 	}
 	col := metrics.NewCollector()
 	cfg := DeviceConfig{
@@ -172,13 +172,13 @@ func (p planList) Plan(queue []Queued, ctx *PlanContext) []Selection { return p.
 func TestBatteryDepletionBreakSkipsAffordableRemainder(t *testing.T) {
 	// 15 J available: enough for the batch overhead (9.75 J) plus a level-1
 	// transfer (~0.005 J), far short of overhead plus level 6 (~20 J).
-	bat, err := energy.NewBattery(energy.BatteryConfig{
+	bat, err := energy.NewBatterySeeded(energy.BatteryConfig{
 		CapacityJ:         100,
 		InitialLevel:      0.15,
 		RechargeStartHour: 3, RechargeEndHour: 4,
-	}, sim.NewRNG(3, sim.StreamEnergy))
+	}, sim.StreamSeed(3, sim.StreamEnergy))
 	if err != nil {
-		t.Fatalf("NewBattery: %v", err)
+		t.Fatalf("NewBatterySeeded: %v", err)
 	}
 	strategy := planList{sels: []Selection{{Index: 0, Level: 6}, {Index: 1, Level: 1}}}
 	fx := newFixture(t, strategy, func(c *DeviceConfig) {

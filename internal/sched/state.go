@@ -10,10 +10,11 @@ import (
 // DeviceState is the complete mutable state of a Device, exported for
 // snapshot/restore (DESIGN.md §12). Configuration is excluded: restore
 // happens into a device rebuilt from the same DeviceConfig, so only the
-// state that accumulates across rounds is captured. RNG-backed components
+// state that accumulates across rounds is captured. Random components
 // (battery jitter, connectivity walk, fault draws) are captured as draw
-// counts: re-seeding identically and fast-forwarding by the count resumes
-// the exact random sequence, which is what makes recovery bit-identical.
+// counts: each is a sim.Stream position, so keying the stream identically
+// and seeking to the count resumes the exact random sequence in O(1),
+// which is what makes recovery bit-identical.
 type DeviceState struct {
 	// Queue is the scheduling queue, in order.
 	Queue []Queued
@@ -77,9 +78,10 @@ func (d *Device) ExportState() DeviceState {
 
 // RestoreState overwrites the device's mutable state with a previously
 // exported snapshot. The device must be freshly constructed from the same
-// DeviceConfig (same strategy, budgets, seeds) as the exporting one;
-// restoring into a device that has already run rounds fails because the RNG
-// streams can only be fast-forwarded, never rewound.
+// DeviceConfig (same strategy, budgets, seeds) as the exporting one. Each
+// random stream seeks straight to its snapshotted draw count, however far;
+// restoring into a device that has already drawn past a count fails,
+// because the components refuse to rewind.
 func (d *Device) RestoreState(s DeviceState) error {
 	if s.HasController != (d.cfg.Controller != nil) {
 		return fmt.Errorf("sched: restore controller presence mismatch: snapshot %t, device %t",

@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"math/rand"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -22,7 +22,7 @@ func newStateTestDevice(t *testing.T, seed int64) *Device {
 	if err != nil {
 		t.Fatal(err)
 	}
-	battery, err := energy.NewBattery(energy.BatteryConfig{}, rand.New(rand.NewSource(seed+1)))
+	battery, err := energy.NewBatterySeeded(energy.BatteryConfig{}, seed+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +143,15 @@ func TestDeviceRestoreRejectsMismatch(t *testing.T) {
 	if err := d.RestoreState(bad); err == nil {
 		t.Fatal("refunded > debited accepted")
 	}
-	bad = s
-	bad.BatteryLevel = 1.5
-	if err := d.RestoreState(bad); err == nil {
-		t.Fatal("battery level outside [0,1] accepted")
+	for _, level := range []float64{1.5, math.NaN()} {
+		bad = s
+		bad.BatteryLevel = level
+		if err := d.RestoreState(bad); err == nil {
+			t.Fatalf("battery level %v outside [0,1] accepted", level)
+		}
 	}
-	// Rewinding an RNG stream is impossible: restoring an old draw count
-	// into a device that has advanced must fail.
+	// Restore never rewinds a stream: restoring an old draw count into a
+	// device that has advanced must fail.
 	if _, err := d.RunRound(0); err != nil {
 		t.Fatal(err)
 	}

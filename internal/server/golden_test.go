@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -336,7 +337,7 @@ func (st goldenShardState) check(t *testing.T, sh *shard) {
 	}
 }
 
-// TestGoldenSnapshot pins the v2 snapshot file: the golden shard must
+// TestGoldenSnapshot pins the v3 snapshot file: the golden shard must
 // snapshot to exactly the golden bytes, and a server recovering from the
 // golden bytes must hold exactly the golden shard and re-compact to the
 // same file.
@@ -383,6 +384,40 @@ func TestGoldenSnapshot(t *testing.T) {
 	}
 	if !bytes.Equal(again, want) {
 		t.Errorf("snapshot re-compacted after recovery differs from the golden snapshot")
+	}
+}
+
+// TestSnapshotRefusesV2: a v2 snapshot's draw counts index the re-seeded
+// math/rand sources devices no longer draw from, so recovery must refuse
+// it by version instead of continuing on different randomness.
+func TestSnapshotRefusesV2(t *testing.T) {
+	snap, err := os.ReadFile(filepath.Join("testdata", "golden", "shard-0.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wal.DecodeFrom(snap)
+	var h snapHeader
+	snapHeaderFields(&c, &h)
+	if c.Err() != nil || h.Version != snapVersion {
+		t.Fatalf("golden header %+v (err %v), want version %d", h, c.Err(), snapVersion)
+	}
+	hdrLen := len(wal.Marshal(snapHeaderFields, &h))
+	h.Version = 2
+	old := append(wal.Marshal(snapHeaderFields, &h), snap[hdrLen:len(snap)-4]...)
+	crc := crc32.ChecksumIEEE(old)
+	old = append(old, wal.Marshal(func(c *wal.Codec, v *uint32) { c.U32(v) }, &crc)...)
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "shard-0.snap"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(goldenConfig(dir))
+	if err == nil {
+		s.CrashStop()
+		t.Fatal("recovered from a v2 snapshot")
+	}
+	if !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("v2 snapshot refused with %v, want an unsupported-version error", err)
 	}
 }
 

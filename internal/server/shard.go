@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,7 +12,6 @@ import (
 	"github.com/richnote/richnote/internal/notif"
 	"github.com/richnote/richnote/internal/obs"
 	"github.com/richnote/richnote/internal/pubsub"
-	"github.com/richnote/richnote/internal/sim"
 	"github.com/richnote/richnote/internal/wal"
 )
 
@@ -191,26 +189,13 @@ func (sh *shard) reset() {
 	if !cfg.DisableAutoRegister {
 		ec.AutoRegister = &cfg.Default
 	}
-	sh.eng = core.NewEngine(ec, seededStream)
+	sh.eng = core.NewEngine(ec)
 	sh.rec = obs.NewRecorder()
 	sh.lastErr = nil
 	sh.feedMu.Lock()
 	sh.feeds = make(map[notif.UserID][]notif.Delivery)
 	sh.feedMu.Unlock()
 	sh.publishSnapshot(0)
-}
-
-// seededStream derives a device's RNG streams the way this service always
-// has — the network walk on the user seed, battery jitter on +1, transfer
-// faults on +2 — which every snapshot and log on disk depends on.
-func seededStream(userSeed int64, stream int) *rand.Rand {
-	switch stream {
-	case sim.StreamEnergy:
-		userSeed++
-	case sim.StreamFaults:
-		userSeed += 2
-	}
-	return rand.New(rand.NewSource(userSeed))
 }
 
 // doneCh returns the current generation's done channel. Callers about to

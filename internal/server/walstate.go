@@ -27,8 +27,8 @@ import (
 // Recovery loads the snapshot, replays log records with seq beyond the
 // snapshot's, truncates any torn tail, and rewrites a fresh snapshot so a
 // crash loop never re-replays unbounded history. Replay re-runs the exact
-// code paths of the original run (accept, runRound) on re-seeded RNG
-// streams fast-forwarded to their snapshotted draw counts, which is what
+// code paths of the original run (accept, runRound) on identically keyed
+// random streams sought to their snapshotted draw counts, which is what
 // makes the recovered state bit-identical rather than merely equivalent.
 //
 // Every byte string here is defined by one Fields function run in either
@@ -48,7 +48,11 @@ const (
 	// a recovered device materializes accrual at the same future operation
 	// the crashed one would have — a bit-identity requirement, not just a
 	// format change. v1 snapshots are not readable.
-	snapVersion = 2
+	// snapVersion 3: device randomness moved from re-seeded math/rand
+	// sources to seekable sim.Streams keyed sim.StreamSeed(userSeed,
+	// stream), so a v2 draw count indexes a different stream; v2
+	// snapshots are refused rather than silently continued.
+	snapVersion = 3
 )
 
 func (sh *shard) walPath() string {
