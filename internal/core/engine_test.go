@@ -262,6 +262,51 @@ func TestBytesPerRegisteredUser(t *testing.T) {
 	}
 }
 
+// TestStateBytesPerUserBounded guards that encoded shard state is
+// O(users), not O(deliveries): 1,000 auto-registered users each take one
+// publication a round for 1,000 rounds, and the state's bytes per user at
+// round 1,000 may exceed those at round 10 by at most 64. The slack
+// covers state that varies but is bounded per user: the presentation
+// levels a user has received (at most six) and the queue depth the
+// network walk leaves. A collector that kept one delay sample per
+// delivery would add 8 B per delivery, about 8 KB per user here.
+func TestStateBytesPerUserBounded(t *testing.T) {
+	const users, rounds, slack = 1_000, 1_000, 64
+	m := network.PaperMatrix()
+	e := NewEngine(EngineConfig{
+		Seed:         1,
+		Enricher:     testEnricher(t),
+		AutoRegister: &UserConfig{NetworkMatrix: &m, WeeklyBudgetBytes: 1 << 40},
+	})
+	topic := pubsub.TopicID{Kind: notif.TopicFriendFeed, Entity: 1}
+	id := int64(0)
+	perUser := func() int {
+		return len(engineState(t, e)) / users
+	}
+	var early int
+	for r := 1; r <= rounds; r++ {
+		for u := notif.UserID(1); u <= users; u++ {
+			id++
+			if err := e.Accept(topic, u, audioItem(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if r == 10 {
+			early = perUser()
+		}
+	}
+	late := perUser()
+	delivered := e.Collector().Running().Delivered
+	t.Logf("state bytes/user: %d at round 10, %d at round %d (%d deliveries)", early, late, rounds, delivered)
+	if late > early+slack {
+		t.Fatalf("state grew from %d to %d B/user over %d deliveries, want ≤ %d",
+			early, late, delivered, early+slack)
+	}
+}
+
 // TestEngineBroadcastHasNoEncoding: the state format stores addressed
 // subscriptions only, so an engine that holds a broadcast one must refuse
 // to encode rather than write bytes that restore to something else.

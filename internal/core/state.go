@@ -333,7 +333,10 @@ func BrokerStateFields(c *wal.Codec, bs *BrokerState) {
 // CollectorStateFields describes the metrics collector's ground truth.
 func CollectorStateFields(c *wal.Codec, cs *metrics.CollectorState) {
 	wal.Slice(c, &cs.Users, 16, "metric users", userMetricsFields)
-	wal.Slice(c, &cs.DelaySamples, 8, "delay samples", (*wal.Codec).F64)
+	wal.Slice(c, &cs.Delays, 16, "delays", func(c *wal.Codec, d *metrics.DelayCount) {
+		wal.Int(c, &d.Delay)
+		wal.Int(c, &d.Count)
+	})
 }
 
 // LevelCountFields describes one presentation-level tally.

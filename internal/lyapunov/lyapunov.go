@@ -25,6 +25,7 @@ package lyapunov
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Config holds the control parameters.
@@ -263,8 +264,11 @@ func (c *Controller) ExportState() State {
 // exported snapshot. The controller must have been built with the same
 // Config as the exporting one for the restored trajectory to match.
 func (c *Controller) RestoreState(s State) error {
-	if s.Q < 0 || s.P < 0 {
-		return fmt.Errorf("lyapunov: restore negative queues q=%f p=%f", s.Q, s.P)
+	// A NaN or infinite queue would poison every adjusted utility the
+	// controller computes from then on, so only finite, non-negative
+	// queues restore.
+	if !(s.Q >= 0 && s.Q <= math.MaxFloat64) || !(s.P >= 0 && s.P <= math.MaxFloat64) {
+		return fmt.Errorf("lyapunov: restore queues q=%f p=%f, want finite and non-negative", s.Q, s.P)
 	}
 	if s.Rounds < 0 {
 		return fmt.Errorf("lyapunov: restore negative rounds %d", s.Rounds)

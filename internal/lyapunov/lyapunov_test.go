@@ -35,6 +35,38 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestRestoreStateRefusesBadQueues: a snapshot or adopt frame carrying a
+// negative, NaN or infinite queue must not restore, and must leave the
+// controller as it was.
+func TestRestoreStateRefusesBadQueues(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    State
+	}{
+		{"negative Q", State{Q: -1}},
+		{"NaN Q", State{Q: math.NaN()}},
+		{"+Inf Q", State{Q: math.Inf(1)}},
+		{"negative P", State{P: -1}},
+		{"NaN P", State{P: math.NaN()}},
+		{"+Inf P", State{P: math.Inf(1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestController(t)
+			before := c.ExportState()
+			if err := c.RestoreState(tc.s); err == nil {
+				t.Fatalf("restored %+v", tc.s)
+			}
+			if got := c.ExportState(); got != before {
+				t.Fatalf("refused restore changed the controller: %+v, want %+v", got, before)
+			}
+		})
+	}
+	c := newTestController(t)
+	if err := c.RestoreState(State{Q: 5, P: 7}); err != nil {
+		t.Fatalf("finite non-negative queues refused: %v", err)
+	}
+}
+
 func TestQueuesFloorAtZero(t *testing.T) {
 	c := newTestController(t)
 	if err := c.OnArrive(100); err != nil {

@@ -10,8 +10,10 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -40,49 +42,36 @@ type userCounters struct {
 	wastedEnergyJ      float64
 }
 
+// DelayCount is one distinct queuing delay, in whole rounds, and the
+// number of deliveries that waited exactly that long.
+type DelayCount struct {
+	Delay int
+	Count int
+}
+
 // Collector accumulates simulation outcomes.
 type Collector struct {
-	users  map[notif.UserID]*userCounters
-	delays Histogram // queuing delay per delivery, in rounds
+	users map[notif.UserID]*userCounters
+	// delays is the exact queuing-delay distribution: one entry per
+	// distinct delay, ascending. Delays are whole rounds, so its length is
+	// bounded by the longest delay, not by the number of deliveries.
+	delays []DelayCount
 
 	// running mirrors the whole-collector fold incrementally: every event
 	// updates it alongside the per-user counters, so the per-round snapshot
-	// path reads an O(1) Running() instead of the O(users) Aggregate().
-	// Integer fields match Aggregate exactly; float sums accumulate in
-	// event order rather than Aggregate's sorted-user order, so their low
-	// bits may differ — Running is telemetry, Aggregate remains the exact
-	// end-of-run fold. runningDelays counts delay samples per
-	// DefaultDelayBucketBounds bucket (first bound the sample fits under),
-	// with runningDelayOver holding samples above the last bound; together
-	// they answer bucket-resolution percentiles and cumulative buckets
-	// without sorting the raw sample slice every round.
-	running          Report
-	runningDelays    []uint64
-	runningDelayOver uint64
+	// path reads Running() instead of the O(users) Aggregate(). Integer
+	// fields match Aggregate exactly; float sums accumulate in event order
+	// rather than Aggregate's sorted-user order, so their low bits may
+	// differ — Running is telemetry, Aggregate remains the exact end-of-run
+	// fold.
+	running Report
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
-		users:         make(map[notif.UserID]*userCounters),
-		running:       Report{LevelCounts: make(map[int]int)},
-		runningDelays: make([]uint64, len(DefaultDelayBucketBounds)),
-	}
-}
-
-// DelayHistogram exposes the queuing-delay distribution across all
-// recorded deliveries.
-func (c *Collector) DelayHistogram() *Histogram { return &c.delays }
-
-// ensureRunning lazily initializes the running-aggregate buffers so a
-// collector assembled without NewCollector (none in-tree, but cheap to
-// defend) still maintains them.
-func (c *Collector) ensureRunning() {
-	if c.running.LevelCounts == nil {
-		c.running.LevelCounts = make(map[int]int)
-	}
-	if c.runningDelays == nil {
-		c.runningDelays = make([]uint64, len(DefaultDelayBucketBounds))
+		users:   make(map[notif.UserID]*userCounters),
+		running: Report{LevelCounts: make(map[int]int)},
 	}
 }
 
@@ -91,10 +80,42 @@ func (c *Collector) user(u notif.UserID) *userCounters {
 	if uc == nil {
 		uc = &userCounters{levelCounts: make(map[int]int)}
 		c.users[u] = uc
-		c.ensureRunning()
 		c.running.Users++
 	}
 	return uc
+}
+
+// addDelay adds n deliveries of the given delay to the sorted
+// distribution ds. It allocates only when a new distinct delay appears.
+func addDelay(ds []DelayCount, delay, n int) []DelayCount {
+	i, found := slices.BinarySearchFunc(ds, delay, func(d DelayCount, v int) int { return cmp.Compare(d.Delay, v) })
+	if found {
+		ds[i].Count += n
+		return ds
+	}
+	return slices.Insert(ds, i, DelayCount{Delay: delay, Count: n})
+}
+
+// delayPercentile returns the p-th percentile (p in [0, 100]) of the
+// distribution by nearest rank — the same value the sorted raw samples
+// would give. An empty distribution returns 0.
+func delayPercentile(ds []DelayCount, p float64) float64 {
+	total := 0
+	for _, d := range ds {
+		total += d.Count
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := max(int(math.Ceil(p/100*float64(total))), 1)
+	cum := 0
+	for _, d := range ds {
+		cum += d.Count
+		if cum >= rank {
+			return float64(d.Delay)
+		}
+	}
+	return float64(ds[len(ds)-1].Delay)
 }
 
 // OnArrive records a notification entering the broker for a user, with its
@@ -154,8 +175,7 @@ func (c *Collector) OnDeliver(d notif.Delivery, out DeliveryOutcome) {
 	uc.trueUtilitySum += d.TrueUtility
 	uc.energyJ += d.EnergyJ
 	uc.delayRoundsSum += delay
-	c.delays.Add(float64(delay))
-	c.recordDelaySample(float64(delay))
+	c.delays = addDelay(c.delays, delay, 1)
 	uc.levelCounts[d.Level]++
 	c.running.Delivered++
 	c.running.DeliveredBytes += d.Size
@@ -182,78 +202,20 @@ func (c *Collector) OnDeliver(d notif.Delivery, out DeliveryOutcome) {
 	}
 }
 
-// recordDelaySample files one delay sample into the running bucket
-// counts: the first DefaultDelayBucketBounds bound the sample fits under,
-// or the overflow tail.
-func (c *Collector) recordDelaySample(v float64) {
-	c.ensureRunning()
-	for i, b := range DefaultDelayBucketBounds {
-		if v <= b {
-			c.runningDelays[i]++
-			return
-		}
-	}
-	c.runningDelayOver++
-}
-
 // Running returns the incrementally maintained aggregate. Integer tallies
-// are identical to Aggregate; float sums are accumulated in event order
-// (Aggregate folds per sorted user) and the delay percentiles are
-// bucket-resolution (nearest-rank over DefaultDelayBucketBounds, clamped
-// to the largest bound), so treat it as the per-round telemetry view and
-// Aggregate as the exact end-of-run report. O(buckets) per call.
+// and the delay percentiles are identical to Aggregate; float sums are
+// accumulated in event order (Aggregate folds per sorted user), so treat
+// it as the per-round telemetry view and Aggregate as the exact
+// end-of-run report. O(distinct delays) per call.
 func (c *Collector) Running() Report {
-	c.ensureRunning()
 	r := c.running
 	r.LevelCounts = make(map[int]int, len(c.running.LevelCounts))
 	for lvl, n := range c.running.LevelCounts {
 		r.LevelCounts[lvl] = n
 	}
-	r.DelayP50Rounds = c.runningPercentile(50)
-	r.DelayP95Rounds = c.runningPercentile(95)
+	r.DelayP50Rounds = delayPercentile(c.delays, 50)
+	r.DelayP95Rounds = delayPercentile(c.delays, 95)
 	return r
-}
-
-// runningPercentile answers a nearest-rank percentile from the running
-// bucket counts: the upper bound of the bucket holding the rank-th
-// sample. Samples above the last bound clamp to it (keeping the value
-// finite for JSON-rendered snapshots); delays in practice are small
-// integers well inside the bounds.
-func (c *Collector) runningPercentile(p float64) float64 {
-	total := c.runningDelayOver
-	for _, n := range c.runningDelays {
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(p / 100 * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	cum := uint64(0)
-	for i, n := range c.runningDelays {
-		cum += n
-		if cum >= rank {
-			return DefaultDelayBucketBounds[i]
-		}
-	}
-	return DefaultDelayBucketBounds[len(DefaultDelayBucketBounds)-1]
-}
-
-// RunningDelayBuckets returns the cumulative delay histogram at
-// DefaultDelayBucketBounds from the running counts — identical, count for
-// count, to DelayHistogram().CumulativeBuckets(DefaultDelayBucketBounds)
-// but O(buckets) instead of O(samples × buckets) per call.
-func (c *Collector) RunningDelayBuckets() []Bucket {
-	c.ensureRunning()
-	out := make([]Bucket, len(DefaultDelayBucketBounds))
-	cum := uint64(0)
-	for i, b := range DefaultDelayBucketBounds {
-		cum += c.runningDelays[i]
-		out[i] = Bucket{UpperBound: b, Count: cum}
-	}
-	return out
 }
 
 // Report is the aggregate outcome of a run.
@@ -308,7 +270,9 @@ func (c *Collector) sortedUsers() []notif.UserID {
 // owns a disjoint user shard); overlapping users have their counters
 // summed.
 func (c *Collector) Merge(o *Collector) {
-	c.delays.Merge(&o.delays)
+	for _, d := range o.delays {
+		c.delays = addDelay(c.delays, d.Delay, d.Count)
+	}
 	for _, u := range o.sortedUsers() {
 		ouc := o.users[u]
 		uc := c.user(u)
@@ -335,29 +299,20 @@ func (c *Collector) Merge(o *Collector) {
 }
 
 // recomputeRunning rebuilds the running aggregate from the ground-truth
-// per-user counters and raw delay samples. Called after bulk mutations
-// (Merge, RestoreState) where maintaining deltas would be error-prone;
-// the O(users + samples) cost is paid once per merge/recovery, never per
-// round. The rebuilt float sums follow Aggregate's sorted-user order
-// rather than the live event order — an allowed divergence, since Running
-// is telemetry (its integer fields are what snapshots compare).
-func (c *Collector) recomputeRunning() {
-	agg := c.Aggregate()
-	agg.DelayP50Rounds, agg.DelayP95Rounds = 0, 0
-	c.running = agg
-	c.runningDelays = make([]uint64, len(DefaultDelayBucketBounds))
-	c.runningDelayOver = 0
-	for _, v := range c.delays.samples {
-		c.recordDelaySample(v)
-	}
-}
+// per-user counters. Called after bulk mutations (Merge, RestoreState)
+// where maintaining deltas would be error-prone; the O(users) cost is
+// paid once per merge/recovery, never per round. The rebuilt float sums
+// follow Aggregate's sorted-user order rather than the live event order —
+// an allowed divergence, since Running is telemetry (its integer fields
+// are what snapshots compare).
+func (c *Collector) recomputeRunning() { c.running = c.Aggregate() }
 
 // Aggregate folds all user counters into a Report.
 func (c *Collector) Aggregate() Report {
 	r := Report{LevelCounts: make(map[int]int)}
 	r.Users = len(c.users)
-	r.DelayP50Rounds = c.delays.Percentile(50)
-	r.DelayP95Rounds = c.delays.Percentile(95)
+	r.DelayP50Rounds = delayPercentile(c.delays, 50)
+	r.DelayP95Rounds = delayPercentile(c.delays, 95)
 	for _, u := range c.sortedUsers() {
 		uc := c.users[u]
 		r.Arrived += uc.arrived

@@ -27,23 +27,18 @@ type Bucket struct {
 	Count      uint64
 }
 
-// CumulativeBuckets returns cumulative counts at the given upper bounds,
-// Prometheus-style: each bucket counts samples <= its bound, and bounds
-// are reported in ascending order. Samples above the last bound appear
-// only in the implicit +Inf bucket (the histogram's Count).
-func (h *Histogram) CumulativeBuckets(bounds []float64) []Bucket {
-	sorted := append([]float64(nil), bounds...)
-	sort.Float64s(sorted)
-	out := make([]Bucket, len(sorted))
-	for i, b := range sorted {
-		out[i].UpperBound = b
-	}
-	for _, v := range h.samples {
-		for i, b := range sorted {
-			if v <= b {
-				out[i].Count++
-			}
+// DelayBuckets returns the cumulative queuing-delay histogram at
+// DefaultDelayBucketBounds, Prometheus-style: each bucket counts the
+// deliveries whose delay is at most its bound. Deliveries above the last
+// bound appear only in the implicit +Inf bucket (Report.Delivered).
+func (c *Collector) DelayBuckets() []Bucket {
+	out := make([]Bucket, len(DefaultDelayBucketBounds))
+	cum, i := uint64(0), 0
+	for j, b := range DefaultDelayBucketBounds {
+		for ; i < len(c.delays) && float64(c.delays[i].Delay) <= b; i++ {
+			cum += uint64(c.delays[i].Count)
 		}
+		out[j] = Bucket{UpperBound: b, Count: cum}
 	}
 	return out
 }
@@ -73,7 +68,7 @@ func MergeBuckets(a, b []Bucket) ([]Bucket, error) {
 
 // Merge sums another report into r: counters add, the level mix adds, and
 // the delay percentiles keep r's values (percentiles do not compose; the
-// caller that needs merged percentiles merges histograms instead). Used to
+// caller that needs merged percentiles merges collectors instead). Used to
 // fold per-shard reports into one service-level exposition.
 func (r *Report) Merge(o Report) {
 	r.Users += o.Users
@@ -189,12 +184,12 @@ func WriteExposition(w io.Writer, r Report, delay []Bucket) (int64, error) {
 }
 
 // WriteTo implements io.WriterTo: it snapshots the collector (aggregate
-// report plus the delay histogram at DefaultDelayBucketBounds) and writes
-// the Prometheus exposition. The collector must not be mutated
-// concurrently; the serving runtime snapshots per-shard reports on the
-// shard goroutine instead of calling this across goroutines.
+// report plus DelayBuckets) and writes the Prometheus exposition. The
+// collector must not be mutated concurrently; the serving runtime
+// snapshots per-shard reports on the shard goroutine instead of calling
+// this across goroutines.
 func (c *Collector) WriteTo(w io.Writer) (int64, error) {
-	return WriteExposition(w, c.Aggregate(), c.delays.CumulativeBuckets(DefaultDelayBucketBounds))
+	return WriteExposition(w, c.Aggregate(), c.DelayBuckets())
 }
 
 // Exposition renders WriteTo into a string, for tests and CLI printing.

@@ -83,18 +83,19 @@ func TestExpositionDelayHistogram(t *testing.T) {
 }
 
 func TestCumulativeBuckets(t *testing.T) {
-	var h Histogram
-	for _, v := range []float64{0, 1, 1, 3, 10} {
-		h.Add(v)
+	c := NewCollector()
+	for _, d := range []int{0, 1, 1, 3, 10, 200} {
+		c.OnDeliver(notif.Delivery{Recipient: 1, Level: 1, DeliveredRound: d}, DeliveryOutcome{})
 	}
-	got := h.CumulativeBuckets([]float64{4, 0, 1}) // unsorted bounds are sorted
-	want := []Bucket{{0, 1}, {1, 3}, {4, 4}}
-	if len(got) != len(want) {
-		t.Fatalf("got %d buckets, want %d", len(got), len(want))
+	// Bounds 0 1 2 4 8 16 32 64 128; 200 lies only in +Inf.
+	counts := []uint64{1, 3, 3, 4, 4, 5, 5, 5, 5}
+	got := c.DelayBuckets()
+	if len(got) != len(counts) {
+		t.Fatalf("got %d buckets, want %d", len(got), len(counts))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("bucket %d = %+v, want %+v", i, got[i], want[i])
+	for i, n := range counts {
+		if want := (Bucket{DefaultDelayBucketBounds[i], n}); got[i] != want {
+			t.Errorf("bucket %d = %+v, want %+v", i, got[i], want)
 		}
 	}
 }

@@ -39,21 +39,19 @@ type LevelCount struct {
 }
 
 // CollectorState is the complete state of a Collector in canonical form:
-// users ascending, level counts ascending, delay samples sorted. Sorting the
-// samples is lossless for this collector — Percentile sorts them in place
-// anyway, so sample order carries no information.
+// users ascending, level counts ascending, delays ascending with one entry
+// per distinct delay.
 type CollectorState struct {
-	Users        []UserState
-	DelaySamples []float64
+	Users  []UserState
+	Delays []DelayCount
 }
 
 // ExportState captures the collector's state in canonical order.
 func (c *Collector) ExportState() CollectorState {
 	s := CollectorState{
-		Users:        make([]UserState, 0, len(c.users)),
-		DelaySamples: append([]float64(nil), c.delays.samples...),
+		Users:  make([]UserState, 0, len(c.users)),
+		Delays: append([]DelayCount(nil), c.delays...),
 	}
-	sort.Float64s(s.DelaySamples)
 	for _, u := range c.sortedUsers() {
 		uc := c.users[u]
 		us := UserState{
@@ -89,11 +87,18 @@ func (c *Collector) ExportState() CollectorState {
 }
 
 // RestoreState overwrites the collector with a previously exported
-// snapshot. The collector must be empty (freshly constructed).
+// snapshot. The collector must be empty (freshly constructed), and the
+// delays must be canonical: non-negative, strictly ascending, each with a
+// count of at least one.
 func (c *Collector) RestoreState(s CollectorState) error {
-	if len(c.users) != 0 || c.delays.Count() != 0 {
-		return fmt.Errorf("metrics: restore into non-empty collector (%d users, %d samples)",
-			len(c.users), c.delays.Count())
+	if len(c.users) != 0 || len(c.delays) != 0 {
+		return fmt.Errorf("metrics: restore into non-empty collector (%d users, %d delays)",
+			len(c.users), len(c.delays))
+	}
+	for i, d := range s.Delays {
+		if d.Delay < 0 || d.Count < 1 || (i > 0 && d.Delay <= s.Delays[i-1].Delay) {
+			return fmt.Errorf("metrics: restore delay %d (count %d) at %d is not canonical", d.Delay, d.Count, i)
+		}
 	}
 	for i := range s.Users {
 		us := &s.Users[i]
@@ -117,8 +122,7 @@ func (c *Collector) RestoreState(s CollectorState) error {
 			uc.levelCounts[lc.Level] = lc.Count
 		}
 	}
-	c.delays.samples = append([]float64(nil), s.DelaySamples...)
-	c.delays.sorted = false
+	c.delays = append([]DelayCount(nil), s.Delays...)
 	c.recomputeRunning()
 	return nil
 }

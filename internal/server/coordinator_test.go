@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/richnote/richnote/internal/cluster"
-	"github.com/richnote/richnote/internal/metrics"
 	"github.com/richnote/richnote/internal/notif"
 	"github.com/richnote/richnote/internal/transport"
 	"github.com/richnote/richnote/internal/wal"
@@ -86,11 +85,12 @@ func assertOneOwnerPerShard(t *testing.T, m *cluster.Map, servers map[string]*Se
 
 // TestRouterForwardLatencyHistogram pins the fixed-bucket replacement for
 // the unbounded sample log: over the same samples its buckets, count and
-// sum equal metrics.Histogram's (the reference), and the exposition lines
-// benchmark/blackbox.go parses keep their names, le labels and order.
+// sum equal a brute-force count and sum of the raw samples, and the
+// exposition lines benchmark/blackbox.go parses keep their names, le
+// labels and order.
 func TestRouterForwardLatencyHistogram(t *testing.T) {
 	var got forwardLatency
-	var ref metrics.Histogram
+	var ref []float64 // every sample, in seconds
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 10_000; i++ {
 		// Log-uniform over 10µs … 10s: every bucket and the overflow fill.
@@ -99,7 +99,7 @@ func TestRouterForwardLatencyHistogram(t *testing.T) {
 			d = time.Duration(forwardLatencyBounds[i/100%len(forwardLatencyBounds)] * 1e9) // exactly on a bound
 		}
 		got.observe(d)
-		ref.Add(d.Seconds())
+		ref = append(ref, d.Seconds())
 	}
 
 	var out strings.Builder
@@ -110,14 +110,24 @@ func TestRouterForwardLatencyHistogram(t *testing.T) {
 		"# HELP richnote_router_forward_latency_seconds Round-trip latency of publish forwards to shard-owner nodes.",
 		"# TYPE richnote_router_forward_latency_seconds histogram",
 	}
-	for _, b := range ref.CumulativeBuckets(forwardLatencyBounds[:]) {
-		want = append(want, fmt.Sprintf("richnote_router_forward_latency_seconds_bucket{le=%q} %d",
-			strconv.FormatFloat(b.UpperBound, 'g', -1, 64), b.Count))
+	refSum := 0.0
+	for _, v := range ref {
+		refSum += v
 	}
-	want = append(want, fmt.Sprintf("richnote_router_forward_latency_seconds_bucket{le=\"+Inf\"} %d", ref.Count()))
+	for _, b := range forwardLatencyBounds {
+		n := 0
+		for _, v := range ref {
+			if v <= b {
+				n++
+			}
+		}
+		want = append(want, fmt.Sprintf("richnote_router_forward_latency_seconds_bucket{le=%q} %d",
+			strconv.FormatFloat(b, 'g', -1, 64), n))
+	}
+	want = append(want, fmt.Sprintf("richnote_router_forward_latency_seconds_bucket{le=\"+Inf\"} %d", len(ref)))
 	sumLine := len(want)
 	want = append(want, "richnote_router_forward_latency_seconds_sum")
-	want = append(want, fmt.Sprintf("richnote_router_forward_latency_seconds_count %d", ref.Count()))
+	want = append(want, fmt.Sprintf("richnote_router_forward_latency_seconds_count %d", len(ref)))
 
 	if len(lines) != len(want) {
 		t.Fatalf("exposition has %d lines, want %d:\n%s", len(lines), len(want), out.String())
@@ -126,7 +136,6 @@ func TestRouterForwardLatencyHistogram(t *testing.T) {
 		if i == sumLine {
 			name, val, _ := strings.Cut(lines[i], " ")
 			sum, err := strconv.ParseFloat(val, 64)
-			refSum := ref.Mean() * float64(ref.Count())
 			if name != want[i] || err != nil || math.Abs(sum-refSum) > 1e-9*refSum {
 				t.Errorf("line %d = %q, want %s ≈ %g", i, lines[i], want[i], refSum)
 			}

@@ -23,7 +23,7 @@ import (
 )
 
 // The files under testdata/golden pin every byte string this package
-// writes to disk or to the wire: both WAL record payloads, a full v2
+// writes to disk or to the wire: both WAL record payloads, a full
 // snapshot, and the payload of every cluster frame. They were generated
 // by the hand-mirrored encodeX/decodeX pairs that preceded the Fields
 // functions, so a codec change is format-preserving exactly when these
@@ -268,8 +268,10 @@ func goldenState() goldenShardState {
 		},
 	}
 	st.collector = metrics.CollectorState{
-		Users:        []metrics.UserState{v.userMetrics(u1), v.userMetrics(u2)},
-		DelaySamples: []float64{v.f64(), v.f64(), v.f64()},
+		Users: []metrics.UserState{v.userMetrics(u1), v.userMetrics(u2)},
+		Delays: []metrics.DelayCount{
+			{Delay: v.int(), Count: v.int()}, {Delay: v.int(), Count: v.int()}, {Delay: v.int(), Count: v.int()},
+		},
 	}
 	st.feeds = []userFeed{
 		{User: u1, Deliveries: []notif.Delivery{v.delivery(), v.delivery()}},
@@ -387,10 +389,12 @@ func TestGoldenSnapshot(t *testing.T) {
 	}
 }
 
-// TestSnapshotRefusesV2: a v2 snapshot's draw counts index the re-seeded
-// math/rand sources devices no longer draw from, so recovery must refuse
-// it by version instead of continuing on different randomness.
-func TestSnapshotRefusesV2(t *testing.T) {
+// TestSnapshotRefusesOldVersions: a v2 snapshot's draw counts index the
+// re-seeded math/rand sources devices no longer draw from, and a v3
+// snapshot stores one raw delay sample per delivery where v4 stores
+// per-delay counts, so recovery must refuse both by version instead of
+// continuing on different randomness or misreading the collector.
+func TestSnapshotRefusesOldVersions(t *testing.T) {
 	snap, err := os.ReadFile(filepath.Join("testdata", "golden", "shard-0.snap"))
 	if err != nil {
 		t.Fatal(err)
@@ -402,22 +406,26 @@ func TestSnapshotRefusesV2(t *testing.T) {
 		t.Fatalf("golden header %+v (err %v), want version %d", h, c.Err(), snapVersion)
 	}
 	hdrLen := len(wal.Marshal(snapHeaderFields, &h))
-	h.Version = 2
-	old := append(wal.Marshal(snapHeaderFields, &h), snap[hdrLen:len(snap)-4]...)
-	crc := crc32.ChecksumIEEE(old)
-	old = append(old, wal.Marshal(func(c *wal.Codec, v *uint32) { c.U32(v) }, &crc)...)
+	for _, version := range []uint32{2, 3} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			h.Version = version
+			old := append(wal.Marshal(snapHeaderFields, &h), snap[hdrLen:len(snap)-4]...)
+			crc := crc32.ChecksumIEEE(old)
+			old = append(old, wal.Marshal(func(c *wal.Codec, v *uint32) { c.U32(v) }, &crc)...)
 
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "shard-0.snap"), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(goldenConfig(dir))
-	if err == nil {
-		s.CrashStop()
-		t.Fatal("recovered from a v2 snapshot")
-	}
-	if !strings.Contains(err.Error(), "unsupported version 2") {
-		t.Fatalf("v2 snapshot refused with %v, want an unsupported-version error", err)
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "shard-0.snap"), old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(goldenConfig(dir))
+			if err == nil {
+				s.CrashStop()
+				t.Fatalf("recovered from a v%d snapshot", version)
+			}
+			if want := fmt.Sprintf("unsupported version %d", version); !strings.Contains(err.Error(), want) {
+				t.Fatalf("v%d snapshot refused with %v, want an unsupported-version error", version, err)
+			}
+		})
 	}
 }
 

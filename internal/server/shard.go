@@ -139,9 +139,9 @@ type ShardSnapshot struct {
 	Backpressured uint64
 	Dropped       uint64
 	// Report aggregates the shard's delivery metrics from the collector's
-	// running mirror (see metrics.Collector.Running: counters exact, delay
-	// percentiles at bucket resolution); DelayBuckets holds the
-	// queuing-delay histogram at metrics.DefaultDelayBucketBounds.
+	// running mirror (see metrics.Collector.Running: counters and delay
+	// percentiles exact); DelayBuckets holds the queuing-delay histogram
+	// at metrics.DefaultDelayBucketBounds.
 	Report       metrics.Report
 	DelayBuckets []metrics.Bucket
 	// Lyapunov sums controller telemetry across the shard's RichNote
@@ -426,8 +426,9 @@ func (sh *shard) appendDeliveriesJSON(b []byte, user notif.UserID) []byte {
 }
 
 // publishSnapshot rebuilds the shard's read-side view from the engine's
-// running aggregates and the collector's running mirror — O(1) plus the
-// snapshot copy, so snapshot cost does not grow with resident idle users.
+// running aggregates and the collector's running mirror — O(distinct
+// delays) plus the snapshot copy, so snapshot cost does not grow with
+// resident idle users.
 // Called on the shard goroutine only.
 func (sh *shard) publishSnapshot(lastRound time.Duration) {
 	st := sh.eng.Stats()
@@ -440,7 +441,7 @@ func (sh *shard) publishSnapshot(lastRound time.Duration) {
 		Backpressured: sh.backpressured.Load(),
 		Dropped:       sh.droppedIngest.Load(),
 		Report:        col.Running(),
-		DelayBuckets:  col.RunningDelayBuckets(),
+		DelayBuckets:  col.DelayBuckets(),
 		QueueDepth:    st.QueueDepth,
 		Lyapunov:      st.Lyapunov,
 		LastRound:     lastRound,

@@ -52,7 +52,11 @@ const (
 	// sources to seekable sim.Streams keyed sim.StreamSeed(userSeed,
 	// stream), so a v2 draw count indexes a different stream; v2
 	// snapshots are refused rather than silently continued.
-	snapVersion = 3
+	// snapVersion 4: the collector stores its queuing delays as
+	// (delay, count) pairs, one per distinct delay, instead of one raw
+	// sample per delivery, so its state no longer grows with deliveries.
+	// v3 snapshots are refused, not converted.
+	snapVersion = 4
 )
 
 func (sh *shard) walPath() string {

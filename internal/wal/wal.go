@@ -86,8 +86,10 @@ type SyncPolicy int
 
 // Sync policies, in decreasing durability order.
 const (
-	// SyncAlways fsyncs after every Append: no accepted record is ever
-	// lost to a crash, at per-record fsync cost.
+	// SyncAlways fsyncs after every Append: no appended record is ever
+	// lost to a crash, at per-record fsync cost. A caller that acks work
+	// before appending it can still lose what it has not yet appended
+	// (the server's publish path does; see DESIGN.md §12).
 	SyncAlways SyncPolicy = iota + 1
 	// SyncRound fsyncs on Commit (the shard's round boundary): a crash
 	// loses at most the current round's tail. The default.
