@@ -420,8 +420,8 @@ func TestClusterBackpressurePropagates(t *testing.T) {
 		s.CrashStop()
 	})
 
-	// No ticks drain the ingest buffer, so the second publish crosses the
-	// high-water mark and must come back 429 with Retry-After.
+	// No ticks drain the ingest queue, so the second publish finds it at
+	// the high-water mark and must come back 429 with Retry-After.
 	saw429 := false
 	for i := 0; i < 10 && !saw429; i++ {
 		var req PublishRequest
@@ -433,6 +433,9 @@ func TestClusterBackpressurePropagates(t *testing.T) {
 		resp, err := http.Post(front.URL+"/v1/publish", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := i < cfg.HighWater; (resp.StatusCode == http.StatusAccepted) != want {
+			t.Errorf("publish %d: status %d, want the first %d accepted and the next refused", i+1, resp.StatusCode, cfg.HighWater)
 		}
 		if resp.StatusCode == http.StatusTooManyRequests {
 			saw429 = true

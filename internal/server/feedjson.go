@@ -37,51 +37,60 @@ func writeFeed(w http.ResponseWriter, encode func(b []byte) []byte) {
 }
 
 // appendDeliveriesJSON appends what json.Encoder.Encode writes for
-// DeliveriesResponse{user, ds}, trailing newline included; a nil ds
-// renders as an empty array. Non-finite floats, which encoding/json
-// refuses, cannot reach a feed: utilities are validated into [0, 1] at
-// enrichment and energy is a finite sum.
-func appendDeliveriesJSON(b []byte, user notif.UserID, ds []notif.Delivery) []byte {
+// DeliveriesResponse{user, append(older, newer...)}, trailing newline
+// included; an empty feed renders as an empty array. The two runs let a
+// feed ring encode without first copying itself into order. Non-finite
+// floats, which encoding/json refuses, cannot reach a feed: utilities are
+// validated into [0, 1] at enrichment and energy is a finite sum.
+func appendDeliveriesJSON(b []byte, user notif.UserID, older, newer []notif.Delivery) []byte {
 	b = append(b, `{"user":`...)
 	b = strconv.AppendInt(b, int64(user), 10)
 	b = append(b, `,"deliveries":[`...)
-	for i := range ds {
-		d := &ds[i]
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"item_id":`...)
-		b = strconv.AppendInt(b, int64(d.ItemID), 10)
-		b = append(b, `,"recipient":`...)
-		b = strconv.AppendInt(b, int64(d.Recipient), 10)
-		b = append(b, `,"level":`...)
-		b = strconv.AppendInt(b, int64(d.Level), 10)
-		b = append(b, `,"size":`...)
-		b = strconv.AppendInt(b, d.Size, 10)
-		b = append(b, `,"utility":`...)
-		b = appendJSONFloat(b, d.Utility)
-		if d.TrueUtility != 0 {
-			b = append(b, `,"true_utility":`...)
-			b = appendJSONFloat(b, d.TrueUtility)
-		}
-		b = append(b, `,"energy_j":`...)
-		b = appendJSONFloat(b, d.EnergyJ)
-		if d.Retries != 0 {
-			b = append(b, `,"retries":`...)
-			b = strconv.AppendInt(b, int64(d.Retries), 10)
-		}
-		if d.Degraded {
-			b = append(b, `,"degraded":true`...)
-		}
-		b = append(b, `,"arrived_round":`...)
-		b = strconv.AppendInt(b, int64(d.ArrivedRound), 10)
-		b = append(b, `,"delivered_round":`...)
-		b = strconv.AppendInt(b, int64(d.DeliveredRound), 10)
-		b = append(b, `,"delivered_at":"`...)
-		b = d.DeliveredAt.AppendFormat(b, time.RFC3339Nano)
-		b = append(b, `"}`...)
+	for i := range older {
+		b = appendDeliveryJSON(b, &older[i], i == 0)
+	}
+	for i := range newer {
+		b = appendDeliveryJSON(b, &newer[i], i == 0 && len(older) == 0)
 	}
 	return append(b, "]}\n"...)
+}
+
+// appendDeliveryJSON appends one feed entry, comma-separated unless first.
+func appendDeliveryJSON(b []byte, d *notif.Delivery, first bool) []byte {
+	if !first {
+		b = append(b, ',')
+	}
+	b = append(b, `{"item_id":`...)
+	b = strconv.AppendInt(b, int64(d.ItemID), 10)
+	b = append(b, `,"recipient":`...)
+	b = strconv.AppendInt(b, int64(d.Recipient), 10)
+	b = append(b, `,"level":`...)
+	b = strconv.AppendInt(b, int64(d.Level), 10)
+	b = append(b, `,"size":`...)
+	b = strconv.AppendInt(b, d.Size, 10)
+	b = append(b, `,"utility":`...)
+	b = appendJSONFloat(b, d.Utility)
+	if d.TrueUtility != 0 {
+		b = append(b, `,"true_utility":`...)
+		b = appendJSONFloat(b, d.TrueUtility)
+	}
+	b = append(b, `,"energy_j":`...)
+	b = appendJSONFloat(b, d.EnergyJ)
+	if d.Retries != 0 {
+		b = append(b, `,"retries":`...)
+		b = strconv.AppendInt(b, int64(d.Retries), 10)
+	}
+	if d.Degraded {
+		b = append(b, `,"degraded":true`...)
+	}
+	b = append(b, `,"arrived_round":`...)
+	b = strconv.AppendInt(b, int64(d.ArrivedRound), 10)
+	b = append(b, `,"delivered_round":`...)
+	b = strconv.AppendInt(b, int64(d.DeliveredRound), 10)
+	b = append(b, `,"delivered_at":"`...)
+	b = d.DeliveredAt.AppendFormat(b, time.RFC3339Nano)
+	b = append(b, `"}`...)
+	return b
 }
 
 // appendJSONFloat renders a float64 as encoding/json does: shortest

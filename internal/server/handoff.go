@@ -28,19 +28,16 @@ import (
 // it would race its old goroutine's teardown.
 
 // doFreeze runs on the shard goroutine (the freeze case in run): it
-// drains the ingest buffer so every accepted publication is folded into
+// drains the ingest queue so every accepted publication is folded into
 // broker state, captures the canonical state bytes, compacts everything
 // into a final snapshot, closes the log and reports the snapshot file
 // bytes for shipment. The goroutine exits right after replying.
 func (sh *shard) doFreeze() freezeResp {
-	// FreezeShard flipped owned=false before sending the request, so no
-	// new publishes are being accepted. Drain whatever arrived before the
-	// flip; the loop re-checks because a publish that passed the ownership
-	// gate concurrently may complete its buffered send a beat later.
+	// FreezeShard closed the queue before sending the request, and a push
+	// appends only while the queue is open, under the same lock: every
+	// publish that was acknowledged is already queued, and one drain takes
+	// it.
 	sh.drainIngest()
-	for len(sh.ingest) > 0 {
-		sh.drainIngest()
-	}
 	if sh.log == nil {
 		return freezeResp{err: fmt.Errorf("server: freeze shard %d: no WAL (handoff requires durability)", sh.id)}
 	}
@@ -62,7 +59,8 @@ func (sh *shard) doFreeze() freezeResp {
 
 // FreezeShard stops serving a shard and returns its final compacted
 // snapshot bytes plus the canonical state bytes at freeze. The shard's
-// publishes reject with ErrNotOwner from the moment this is called; the
+// publishes reject with ErrNotOwner from the moment this is called, and
+// every publish acknowledged before that is in the returned state; the
 // shard goroutine exits before FreezeShard returns. The snapshot is the
 // complete state — the log is compacted into it, so there is no WAL tail
 // to ship separately on the planned path.
@@ -77,10 +75,13 @@ func (s *Server) FreezeShard(id int) (snap, state []byte, err error) {
 	if !sh.started.Load() {
 		return nil, nil, fmt.Errorf("server: freeze shard %d: not running", id)
 	}
-	// Ownership off first: the publish path stops accepting before the
-	// drain inside doFreeze, so nothing accepted after this line can miss
-	// the snapshot.
+	// Ownership off and the queue closed before the drain inside doFreeze.
+	// The owned flag alone cannot close the window: a publisher that read
+	// it as true may be descheduled before it appends. The close takes the
+	// queue lock, so such a push either landed before it (and the drain
+	// takes it) or sees the queue closed and returns ErrNotOwner.
 	sh.owned.Store(false)
+	sh.ingest.setClosed(true)
 	done := sh.doneCh()
 	req := freezeReq{reply: make(chan freezeResp, 1)}
 	select {
@@ -138,6 +139,7 @@ func (s *Server) finishAdopt(sh *shard) {
 	s.adopted[sh.id] = state
 	s.adoptedMu.Unlock()
 	sh.publishSnapshot(0)
+	sh.ingest.setClosed(false) // a recycled slot's queue was closed by its freeze
 	sh.owned.Store(true)
 	sh.started.Store(true)
 	go sh.run(s.cfg.RoundEvery)

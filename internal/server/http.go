@@ -275,11 +275,11 @@ func writeShardGauges(w http.ResponseWriter, snaps []ShardSnapshot, s *Server) {
 	for _, sn := range snaps {
 		printf("richnote_shard_lyapunov_p_joules{shard=\"%d\"} %g\n", sn.Shard, sn.Lyapunov.FinalP)
 	}
-	gaugeHeader("richnote_shard_ingest_depth", "Publications waiting in the shard's ingest buffer.")
+	gaugeHeader("richnote_shard_ingest_depth", "Publications acknowledged but not yet logged and handed to the shard's engine.")
 	for _, sn := range snaps {
 		// Index by the snapshot's shard id, not slice position: in cluster
 		// node mode Snapshots returns only the owned subset.
-		printf("richnote_shard_ingest_depth{shard=\"%d\"} %d\n", sn.Shard, len(s.shards[sn.Shard].ingest))
+		printf("richnote_shard_ingest_depth{shard=\"%d\"} %d\n", sn.Shard, s.shards[sn.Shard].ingest.depth.Load())
 	}
 
 	printf("# HELP richnote_shard_rounds_total Completed scheduling rounds per shard.\n# TYPE richnote_shard_rounds_total counter\n")
@@ -290,7 +290,7 @@ func writeShardGauges(w http.ResponseWriter, snaps []ShardSnapshot, s *Server) {
 	for _, sn := range snaps {
 		printf("richnote_shard_ingest_rejected_total{shard=\"%d\"} %d\n", sn.Shard, sn.Backpressured+sn.Dropped)
 	}
-	printf("# HELP richnote_shard_ingest_backpressured_total Publications rejected with 429 because the ingest buffer crossed its high-water mark.\n# TYPE richnote_shard_ingest_backpressured_total counter\n")
+	printf("# HELP richnote_shard_ingest_backpressured_total Publications rejected with 429 because the ingest queue reached its high-water mark.\n# TYPE richnote_shard_ingest_backpressured_total counter\n")
 	for _, sn := range snaps {
 		printf("richnote_shard_ingest_backpressured_total{shard=\"%d\"} %d\n", sn.Shard, sn.Backpressured)
 	}

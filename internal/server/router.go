@@ -384,7 +384,7 @@ func (r *Router) handleDeliveries(w http.ResponseWriter, req *http.Request) {
 		r.unavailable(w, fmt.Sprintf("node %s no longer owns user %d's shard", p.name, user))
 		return
 	}
-	writeFeed(w, func(b []byte) []byte { return appendDeliveriesJSON(b, user, resp.Deliveries) })
+	writeFeed(w, func(b []byte) []byte { return appendDeliveriesJSON(b, user, resp.Deliveries, nil) })
 }
 
 // RouterTickResponse is the router's POST /v1/tick body. Rounds is

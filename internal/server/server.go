@@ -9,8 +9,8 @@
 // buffers, build the adjusted-utility MCKP instance, select greedily,
 // charge device budgets, record outcomes — on a configurable wall-clock
 // tick. Shard state is goroutine-confined: the HTTP layer talks to a shard
-// only through its bounded ingest channel (backpressure: 429 once the
-// buffer crosses a high-water mark) and reads only atomically published
+// only through its bounded ingest queue (backpressure: 429 once the
+// backlog reaches a high-water mark) and reads only atomically published
 // snapshots, so no scheduling structure is ever locked on the hot path.
 //
 // Wall-clock ticks pace the loop; budget and battery accounting advance in
@@ -58,10 +58,13 @@ type Config struct {
 	VirtualRound time.Duration
 	// Epoch anchors virtual time; defaults to 2015-01-01 UTC.
 	Epoch time.Time
-	// IngestBuffer is the per-shard publication buffer; defaults to 1024.
+	// IngestBuffer bounds the per-shard publication backlog; defaults to
+	// 1024. Nothing is allocated for it up front: the queue grows with the
+	// backlog actually seen.
 	IngestBuffer int
 	// HighWater is the ingest depth at which the shard starts rejecting
-	// publishes with 429; defaults to 3/4 of IngestBuffer.
+	// publishes with 429; defaults to 3/4 of IngestBuffer and never
+	// exceeds it.
 	HighWater int
 	// RecentDeliveries bounds the per-user delivery feed; defaults to 32.
 	RecentDeliveries int
@@ -318,7 +321,7 @@ func (s *Server) Tick(ctx context.Context) error {
 	return firstErr
 }
 
-// Shutdown gracefully stops the shards: each drains its buffered ingest,
+// Shutdown gracefully stops the shards: each drains its queued ingest,
 // runs a final round so accepted publications get their delivery
 // opportunity, and exits. It returns once every shard has finished or the
 // context expires.
@@ -368,8 +371,9 @@ func (s *Server) CrashStop() {
 }
 
 // Publish routes one publication to its recipient's shard. It returns
-// ErrBackpressure when the shard's ingest buffer is over the high-water
-// mark (the HTTP layer maps this to 429 + Retry-After).
+// ErrBackpressure when the shard's ingest queue is at the high-water mark
+// (the HTTP layer maps this to 429 + Retry-After), and ErrNotOwner when
+// the shard is not owned here or a freeze closed its queue first.
 func (s *Server) Publish(topic pubsub.TopicID, recipient notif.UserID, item notif.Item) error {
 	if recipient == 0 {
 		return errors.New("server: publication has no recipient")
@@ -378,20 +382,14 @@ func (s *Server) Publish(topic pubsub.TopicID, recipient notif.UserID, item noti
 	if !sh.owned.Load() {
 		return ErrNotOwner
 	}
-	if len(sh.ingest) >= s.cfg.HighWater {
+	err := sh.ingest.push(envelope{topic: topic, user: recipient, item: item}, s.cfg.HighWater)
+	if err == ErrBackpressure {
 		sh.backpressured.Add(1)
-		return ErrBackpressure
 	}
-	select {
-	case sh.ingest <- envelope{topic: topic, user: recipient, item: item}:
-		return nil
-	default:
-		sh.backpressured.Add(1)
-		return ErrBackpressure
-	}
+	return err
 }
 
-// ErrBackpressure signals that a shard's ingest buffer is saturated.
+// ErrBackpressure signals that a shard's ingest queue is saturated.
 var ErrBackpressure = errors.New("server: shard ingest over high-water mark")
 
 // ErrNotOwner signals that the recipient's shard is not owned by this

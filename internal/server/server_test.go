@@ -299,13 +299,18 @@ func TestBackpressure(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	// The shard goroutine is intentionally not started, so ingest only
-	// fills; the high-water mark must start rejecting.
+	// fills; the high-water mark must start rejecting at exactly
+	// HighWater queued publications.
 	var rejected int
 	for i := 1; i <= 10; i++ {
-		if err := s.Publish(friendTopic(1), 1, audioItem(i, 2)); err != nil {
-			if err != ErrBackpressure {
-				t.Fatalf("publish %d: unexpected error %v", i, err)
-			}
+		err := s.Publish(friendTopic(1), 1, audioItem(i, 2))
+		if err != nil && err != ErrBackpressure {
+			t.Fatalf("publish %d: unexpected error %v", i, err)
+		}
+		if (err == nil) != (i <= cfg.HighWater) {
+			t.Errorf("publish %d: err = %v, want the first %d accepted and the rest refused", i, err, cfg.HighWater)
+		}
+		if err != nil {
 			rejected++
 		}
 	}
@@ -315,10 +320,23 @@ func TestBackpressure(t *testing.T) {
 	if got := s.Backpressured() + s.Dropped(); got != 6 {
 		t.Errorf("Backpressured() + Dropped() = %d, want 6", got)
 	}
-
-	// The HTTP layer must surface backpressure as 429 + Retry-After.
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	if got := metricSum(t, httpGet(t, ts.URL+"/metrics"), "richnote_shard_ingest_depth"); got != float64(cfg.HighWater) {
+		t.Errorf("ingest depth gauge = %v at the high-water mark, want %d", got, cfg.HighWater)
+	}
+
+	// A drain frees the whole mark again: HighWater more fit, one more
+	// does not.
+	s.shards[0].drainIngest()
+	for i := 1; i <= cfg.HighWater+1; i++ {
+		err := s.Publish(friendTopic(1), 1, audioItem(100+i, 2))
+		if want := i <= cfg.HighWater; (err == nil) != want {
+			t.Errorf("after drain, publish %d: err = %v, want accepted %v", i, err, want)
+		}
+	}
+
+	// The HTTP layer must surface backpressure as 429 + Retry-After.
 	resp := postPublish(t, ts.URL, PublishRequest{
 		Recipients: []notif.UserID{1},
 		Item:       audioItem(11, 2),

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,6 +22,92 @@ type envelope struct {
 	topic pubsub.TopicID
 	user  notif.UserID
 	item  notif.Item
+}
+
+// ingestQueue is a shard's bounded publication backlog. Publishers append
+// under mu; the shard goroutine takes everything queued in one swap
+// (shard.drainIngest) and hands the slice back on its next take, so in
+// steady state no push allocates. Nothing is reserved up front: each of
+// the two buffers grows with the largest backlog actually seen, to at
+// most Config.HighWater envelopes, and a slot that never receives a
+// publish costs nothing.
+type ingestQueue struct {
+	mu sync.Mutex
+	// items is the backlog in push order. spare is the batch the last take
+	// handed to the shard goroutine; the next take returns it, emptied, as
+	// the new backlog. Both are touched only under mu.
+	items  []envelope
+	spare  []envelope
+	closed bool // set by FreezeShard: a push after it returns ErrNotOwner
+
+	// depth counts envelopes from their push until accept has logged them
+	// and handed them to the engine, a taken but unfinished batch
+	// included, so depth 0 means every acknowledged publish is in the log
+	// (with one) and in the engine. It is the high-water test's operand and
+	// the richnote_shard_ingest_depth gauge.
+	depth atomic.Int64 // richnote:atomic
+
+	// wake holds a token whenever the backlog may be non-empty: push
+	// signals it on the empty to non-empty edge only, and the shard
+	// goroutine drains on receipt. A stale token costs one empty take.
+	wake chan struct{}
+}
+
+// ingestGrowMin is the smallest capacity a queue buffer grows to: the
+// default IngestBuffer's worth. Beyond it a full buffer grows fourfold, up
+// to the high-water mark, so a backlog that keeps deepening reallocates a
+// few times rather than at every doubling. A queue that never receives
+// allocates nothing.
+const ingestGrowMin = 1024
+
+// push appends one envelope unless the queue is closed (ErrNotOwner) or
+// holds highWater envelopes (ErrBackpressure). The test and the append
+// share one critical section, so depth never exceeds highWater.
+func (q *ingestQueue) push(env envelope, highWater int) error {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return ErrNotOwner
+	}
+	if q.depth.Load() >= int64(highWater) {
+		q.mu.Unlock()
+		return ErrBackpressure
+	}
+	if len(q.items) == cap(q.items) {
+		grown := make([]envelope, len(q.items), min(max(4*len(q.items), ingestGrowMin), highWater))
+		copy(grown, q.items)
+		q.items = grown
+	}
+	q.items = append(q.items, env)
+	q.depth.Add(1)
+	first := len(q.items) == 1
+	q.mu.Unlock()
+	if first {
+		select {
+		case q.wake <- struct{}{}:
+		default: // a token is already pending
+		}
+	}
+	return nil
+}
+
+// take returns the backlog in push order and leaves the previous batch,
+// which the caller has finished with and cleared, as the new backlog.
+// Called on the shard goroutine only.
+func (q *ingestQueue) take() []envelope {
+	q.mu.Lock()
+	batch := q.items
+	q.items = q.spare[:0]
+	q.spare = batch
+	q.mu.Unlock()
+	return batch
+}
+
+// setClosed opens or closes the queue to pushes.
+func (q *ingestQueue) setClosed(closed bool) {
+	q.mu.Lock()
+	q.closed = closed
+	q.mu.Unlock()
 }
 
 // tickReq is a synchronous round request: the shard runs one round and
@@ -47,11 +134,11 @@ type freezeResp struct {
 // shard hosts one core.Engine — which owns a disjoint subset of users:
 // their pub/sub buffers, scheduling queues Q(t), virtual energy queues
 // P(t), device/network/battery state and the round procedure — on its own
-// goroutine, and adds what a service needs around it: the ingest, tick
-// and freeze channels, the write-ahead log, the recent-delivery feeds and
-// the published read-side snapshot. The engine and the rest of the
-// confined state are touched only by the shard goroutine started by run;
-// the HTTP layer communicates through the ingest channel and reads only
+// goroutine, and adds what a service needs around it: the ingest queue,
+// the tick and freeze channels, the write-ahead log, the recent-delivery
+// feeds and the published read-side snapshot. The engine and the rest of
+// the confined state are touched only by the shard goroutine started by
+// run; the HTTP layer communicates through the ingest queue and reads only
 // the atomically published ShardSnapshot and the mutex-guarded feeds.
 type shard struct {
 	id  int
@@ -76,7 +163,7 @@ type shard struct {
 	snapEnc   wal.Codec   // richnote:confined(shard)
 	replaying bool        // richnote:confined(shard)
 
-	ingest chan envelope
+	ingest ingestQueue
 	ticks  chan tickReq
 	freeze chan freezeReq
 	stateq chan chan []byte
@@ -103,7 +190,7 @@ type shard struct {
 	frozen  atomic.Bool // richnote:atomic
 
 	// backpressured counts publishes turned away with HTTP 429 because the
-	// ingest buffer crossed the high-water mark (overload); droppedIngest
+	// ingest queue reached the high-water mark (overload); droppedIngest
 	// counts publications accepted into the shard but discarded there —
 	// unknown users with auto-registration disabled, registration/
 	// subscription failures (misrouted traffic), or items enrichment
@@ -116,7 +203,53 @@ type shard struct {
 	snap atomic.Pointer[ShardSnapshot] // richnote:atomic
 
 	feedMu sync.Mutex
-	feeds  map[notif.UserID][]notif.Delivery // newest last, capped
+	feeds  map[notif.UserID]*feedRing
+}
+
+// feedRing is one user's recent-delivery feed: the newest
+// Config.RecentDeliveries deliveries. buf grows to the cap with the
+// user's first deliveries, then each new one overwrites the oldest in
+// place, so a delivery costs O(1) and a full feed holds exactly its cap.
+type feedRing struct {
+	buf  []notif.Delivery
+	next int // once buf is full, the oldest entry and the next to overwrite
+}
+
+// push records d as the newest entry, evicting the oldest beyond limit.
+func (f *feedRing) push(d *notif.Delivery, limit int) {
+	if len(f.buf) < limit {
+		if len(f.buf) == cap(f.buf) {
+			grown := make([]notif.Delivery, len(f.buf), min(max(2*cap(f.buf), 4), limit))
+			copy(grown, f.buf)
+			f.buf = grown
+		}
+		f.buf = append(f.buf, *d)
+		return
+	}
+	f.buf[f.next] = *d
+	if f.next++; f.next == len(f.buf) {
+		f.next = 0
+	}
+}
+
+// segments returns the feed oldest first as two runs: older, then newer.
+func (f *feedRing) segments() (older, newer []notif.Delivery) {
+	if f == nil {
+		return nil, nil
+	}
+	return f.buf[f.next:], f.buf[:f.next]
+}
+
+// ordered rotates the ring in place so buf holds the feed oldest first,
+// and returns it. Called under feedMu; nothing a reader sees changes.
+func (f *feedRing) ordered() []notif.Delivery {
+	if f.next != 0 {
+		slices.Reverse(f.buf[:f.next])
+		slices.Reverse(f.buf[f.next:])
+		slices.Reverse(f.buf)
+		f.next = 0
+	}
+	return f.buf
 }
 
 // ShardSnapshot is the read side of a shard, published atomically at
@@ -159,7 +292,7 @@ func newShard(id int, srv *Server) *shard {
 	sh := &shard{
 		id:     id,
 		srv:    srv,
-		ingest: make(chan envelope, srv.cfg.IngestBuffer),
+		ingest: ingestQueue{wake: make(chan struct{}, 1)},
 		ticks:  make(chan tickReq),
 		freeze: make(chan freezeReq),
 		stateq: make(chan chan []byte),
@@ -193,7 +326,7 @@ func (sh *shard) reset() {
 	sh.rec = obs.NewRecorder()
 	sh.lastErr = nil
 	sh.feedMu.Lock()
-	sh.feeds = make(map[notif.UserID][]notif.Delivery)
+	sh.feeds = make(map[notif.UserID]*feedRing)
 	sh.feedMu.Unlock()
 	sh.publishSnapshot(0)
 }
@@ -211,24 +344,17 @@ func (sh *shard) doneCh() chan struct{} {
 // recycle returns a frozen slot to the virgin state so it can be adopted
 // again in this process — the planned-handoff rollback path, where the
 // source re-adopts the snapshot it just froze after the target failed to
-// take it. Only legal once FreezeShard completed: ownership is off and
-// the old goroutine has exited, so nothing races the rebuild. The
-// channels other goroutines hold references to (ingest, ticks, freeze,
-// stateq, stop, crash) keep their identity — ingest is drained, the rest
-// are unbuffered and idle — and only done is replaced, under doneMu,
-// because the old one is closed. The process-lifetime ingest counters
-// (backpressured, droppedIngest) survive; everything else is rebuilt by
-// the restore that follows.
+// take it. Only legal once FreezeShard completed: ownership is off, the
+// ingest queue is closed and was drained by the freeze, and the old
+// goroutine has exited, so nothing races the rebuild. The channels other
+// goroutines hold references to (ticks, freeze, stateq, stop, crash) keep
+// their identity — they are unbuffered and idle — and only done is
+// replaced, under doneMu, because the old one is closed. The queue stays
+// closed until finishAdopt reopens it. The process-lifetime ingest
+// counters (backpressured, droppedIngest) survive; everything else is
+// rebuilt by the restore that follows.
 func (sh *shard) recycle() {
 	<-sh.doneCh() // already closed by the exited goroutine; never blocks
-	for {
-		select {
-		case <-sh.ingest:
-			continue
-		default:
-		}
-		break
-	}
 	sh.doneMu.Lock()
 	sh.done = make(chan struct{})
 	sh.doneMu.Unlock()
@@ -253,8 +379,8 @@ func (sh *shard) run(every time.Duration) {
 	}
 	for {
 		select {
-		case env := <-sh.ingest:
-			sh.accept(env)
+		case <-sh.ingest.wake:
+			sh.drainIngest()
 		case <-tickC:
 			sh.runRound()
 		case req := <-sh.ticks:
@@ -278,7 +404,7 @@ func (sh *shard) run(every time.Duration) {
 	}
 }
 
-// drainAndFinish runs one last round (which drains the ingest buffer
+// drainAndFinish runs one last round (which drains the ingest queue
 // first) so every accepted publication gets a delivery opportunity before
 // shutdown, then flushes a final snapshot and closes the log so a clean
 // restart never needs replay.
@@ -287,17 +413,16 @@ func (sh *shard) drainAndFinish() {
 	sh.closeWAL()
 }
 
-// drainIngest empties whatever the ingest buffer holds right now, so a
-// round boundary always schedules every publication accepted before it.
+// drainIngest accepts whatever the ingest queue holds right now, in push
+// order, so a round boundary always schedules every publication accepted
+// before it. Each envelope leaves the depth count once accept returns.
 func (sh *shard) drainIngest() {
-	for {
-		select {
-		case env := <-sh.ingest:
-			sh.accept(env)
-		default:
-			return
-		}
+	batch := sh.ingest.take()
+	for i := range batch {
+		sh.accept(batch[i])
+		sh.ingest.depth.Add(-1)
 	}
+	clear(batch) // drop item references before the slice is reused
 }
 
 // accept logs the envelope and hands it to the engine, which registers
@@ -359,7 +484,7 @@ func (sh *shard) open(users []UserConfig) error {
 	return nil
 }
 
-// runRound executes one scheduling round: drain the ingest buffer into
+// runRound executes one scheduling round: drain the ingest queue into
 // the engine, step it, publish what it delivered and log the boundary.
 // WAL replay drives this same path, so recovery reproduces the
 // event-driven trajectory record for record.
@@ -390,8 +515,7 @@ func (sh *shard) stageDelivery(d notif.Delivery) {
 
 // flushFeeds applies the round's staged deliveries to the recent-delivery
 // feeds under one feedMu acquisition, keeping the newest RecentDeliveries
-// entries per user in delivery order — byte-for-byte what the historical
-// per-delivery locking produced, at one lock round-trip per round.
+// entries per user in delivery order, at one lock round-trip per round.
 func (sh *shard) flushFeeds() {
 	if len(sh.pendingFeed) == 0 {
 		return
@@ -400,11 +524,12 @@ func (sh *shard) flushFeeds() {
 	sh.feedMu.Lock()
 	for i := range sh.pendingFeed {
 		d := &sh.pendingFeed[i]
-		feed := append(sh.feeds[d.Recipient], *d)
-		if len(feed) > limit {
-			feed = append(feed[:0], feed[len(feed)-limit:]...)
+		f := sh.feeds[d.Recipient]
+		if f == nil {
+			f = new(feedRing)
+			sh.feeds[d.Recipient] = f
 		}
-		sh.feeds[d.Recipient] = feed
+		f.push(d, limit)
 	}
 	sh.feedMu.Unlock()
 	sh.pendingFeed = sh.pendingFeed[:0]
@@ -414,7 +539,7 @@ func (sh *shard) flushFeeds() {
 func (sh *shard) Deliveries(user notif.UserID) []notif.Delivery {
 	sh.feedMu.Lock()
 	defer sh.feedMu.Unlock()
-	return append([]notif.Delivery(nil), sh.feeds[user]...)
+	return slices.Concat(sh.feeds[user].segments())
 }
 
 // appendDeliveriesJSON appends the user's feed as the GET deliveries
@@ -422,7 +547,8 @@ func (sh *shard) Deliveries(user notif.UserID) []notif.Delivery {
 func (sh *shard) appendDeliveriesJSON(b []byte, user notif.UserID) []byte {
 	sh.feedMu.Lock()
 	defer sh.feedMu.Unlock()
-	return appendDeliveriesJSON(b, user, sh.feeds[user])
+	older, newer := sh.feeds[user].segments()
+	return appendDeliveriesJSON(b, user, older, newer)
 }
 
 // publishSnapshot rebuilds the shard's read-side view from the engine's

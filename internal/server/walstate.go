@@ -350,17 +350,20 @@ func (sh *shard) stateFields(c *wal.Codec) {
 	var feeds []userFeed
 	sh.feedMu.Lock()
 	if !dec {
-		for u, feed := range sh.feeds {
-			if len(feed) > 0 {
-				feeds = append(feeds, userFeed{User: u, Deliveries: feed})
+		for u, f := range sh.feeds {
+			if len(f.buf) > 0 {
+				feeds = append(feeds, userFeed{User: u, Deliveries: f.ordered()})
 			}
 		}
 		slices.SortFunc(feeds, func(a, b userFeed) int { return cmp.Compare(a.User, b.User) })
 	}
 	wal.Slice(c, &feeds, 12, "feed users", userFeedFields)
 	if dec && c.Err() == nil {
+		limit := sh.srv.cfg.RecentDeliveries
 		for _, f := range feeds {
-			sh.feeds[f.User] = f.Deliveries
+			// A feed written under a larger RecentDeliveries keeps its newest
+			// entries, as the next delivery would have trimmed it to.
+			sh.feeds[f.User] = &feedRing{buf: f.Deliveries[max(len(f.Deliveries)-limit, 0):]}
 		}
 	}
 	sh.feedMu.Unlock()
