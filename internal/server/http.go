@@ -9,7 +9,6 @@ import (
 
 	"github.com/richnote/richnote/internal/metrics"
 	"github.com/richnote/richnote/internal/notif"
-	"github.com/richnote/richnote/internal/pubsub"
 )
 
 // The HTTP/JSON API of richnote-serve:
@@ -95,41 +94,6 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
-// decodePublish reads and validates a POST /v1/publish body for either
-// front: a 1 MiB cap, no unknown fields, a known topic kind, and at least
-// one recipient (falling back to item.recipient). It defaults the item's
-// topic kind and arrival time. On a bad request it writes the 400 itself
-// and returns ok=false.
-func decodePublish(w http.ResponseWriter, r *http.Request) (topic pubsub.TopicID, recipients []notif.UserID, item notif.Item, ok bool) {
-	var req PublishRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed publish request: "+err.Error())
-		return topic, nil, item, false
-	}
-	kind, err := parseTopicKind(req.Topic.Kind)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return topic, nil, item, false
-	}
-	recipients = req.Recipients
-	if len(recipients) == 0 {
-		if req.Item.Recipient == 0 {
-			httpError(w, http.StatusBadRequest, "publish needs recipients or item.recipient")
-			return topic, nil, item, false
-		}
-		recipients = []notif.UserID{req.Item.Recipient}
-	}
-	if req.Item.Topic == 0 {
-		req.Item.Topic = kind
-	}
-	if req.Item.CreatedAt.IsZero() {
-		req.Item.CreatedAt = time.Now().UTC() //lint:allow wallclock ingest timestamps are real arrival times
-	}
-	return pubsub.TopicID{Kind: kind, Entity: req.Topic.Entity}, recipients, req.Item, true
-}
-
 // pathUser parses the {id} path segment of a deliveries request, writing
 // the 400 itself and returning ok=false when it is not a positive integer.
 func pathUser(w http.ResponseWriter, r *http.Request) (notif.UserID, bool) {
@@ -142,13 +106,14 @@ func pathUser(w http.ResponseWriter, r *http.Request) (notif.UserID, bool) {
 }
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
-	topic, recipients, item, ok := decodePublish(w, r)
-	if !ok {
+	p := publishReqs.Get().(*publishReq)
+	defer publishReqs.Put(p)
+	if !decodePublish(w, r, p) {
 		return
 	}
 	var resp PublishResponse
-	for _, rcpt := range recipients {
-		if err := s.Publish(topic, rcpt, item); err != nil {
+	for _, rcpt := range p.recipients {
+		if err := s.Publish(p.topic, rcpt, p.item); err != nil {
 			resp.Rejected++
 		} else {
 			resp.Accepted++
@@ -156,10 +121,10 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 	if resp.Rejected > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.RetryAfter())))
-		writeJSON(w, http.StatusTooManyRequests, resp)
+		p.writeResponse(w, http.StatusTooManyRequests, resp)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, resp)
+	p.writeResponse(w, http.StatusAccepted, resp)
 }
 
 // retryAfterSeconds renders a duration as the integral seconds HTTP

@@ -323,8 +323,9 @@ func (r *Router) forwardPublish(v *view, topic pubsub.TopicID, user notif.UserID
 }
 
 func (r *Router) handlePublish(w http.ResponseWriter, req *http.Request) {
-	topic, recipients, item, ok := decodePublish(w, req)
-	if !ok {
+	p := publishReqs.Get().(*publishReq)
+	defer publishReqs.Put(p)
+	if !decodePublish(w, req, p) {
 		return
 	}
 
@@ -332,8 +333,8 @@ func (r *Router) handlePublish(w http.ResponseWriter, req *http.Request) {
 	var resp PublishResponse
 	backpressured, unavailable := false, false
 	retryAfter := 0
-	for _, rcpt := range recipients {
-		out := r.forwardPublish(v, topic, rcpt, item)
+	for _, rcpt := range p.recipients {
+		out := r.forwardPublish(v, p.topic, rcpt, p.item)
 		switch out.status {
 		case publishAccepted:
 			resp.Accepted++
@@ -352,15 +353,15 @@ func (r *Router) handlePublish(w http.ResponseWriter, req *http.Request) {
 	case unavailable:
 		// A map update is usually seconds away; tell the client when to retry.
 		w.Header().Set("Retry-After", strconv.Itoa(r.retrySeconds()))
-		writeJSON(w, http.StatusServiceUnavailable, resp)
+		p.writeResponse(w, http.StatusServiceUnavailable, resp)
 	case backpressured:
 		if retryAfter < 1 {
 			retryAfter = r.retrySeconds()
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		writeJSON(w, http.StatusTooManyRequests, resp)
+		p.writeResponse(w, http.StatusTooManyRequests, resp)
 	default:
-		writeJSON(w, http.StatusAccepted, resp)
+		p.writeResponse(w, http.StatusAccepted, resp)
 	}
 }
 

@@ -365,6 +365,21 @@ func postPublish(t *testing.T, base string, req PublishRequest, kind string, ent
 	return resp
 }
 
+// badRequests are requests both fronts must answer with 400.
+// FuzzDecodePublish seeds its corpus with their bodies.
+var badRequests = []struct {
+	name, method, path, body string
+}{
+	{"malformed json", "POST", "/v1/publish", `{"topic":`},
+	{"unknown topic kind", "POST", "/v1/publish", `{"topic":{"kind":"podcast","entity":1},"recipients":[1],"item":{"id":1}}`},
+	{"no recipients", "POST", "/v1/publish", `{"topic":{"kind":"friend-feed","entity":1},"item":{"id":1}}`},
+	{"unknown field", "POST", "/v1/publish", `{"topic":{"kind":"friend-feed","entity":1},"recipients":[1],"item":{"id":1},"extra":true}`},
+	{"over 1 MiB body", "POST", "/v1/publish", "{" + strings.Repeat(" ", 1<<20) + "}"},
+	{"second object", "POST", "/v1/publish", `{"topic":{"kind":"friend-feed","entity":1},"recipients":[1],"item":{"id":1}} {"topic":{"kind":"friend-feed","entity":1},"recipients":[1],"item":{"id":2}}`},
+	{"trailing garbage", "POST", "/v1/publish", `{"topic":{"kind":"friend-feed","entity":1},"recipients":[1],"item":{"id":1}}garbage`},
+	{"bad user id", "GET", "/v1/users/zero/deliveries", ""},
+}
+
 // TestHTTPBadRequests sends the same bad requests to a standalone server
 // and to a router: both fronts must answer 400 with identical bodies.
 func TestHTTPBadRequests(t *testing.T) {
@@ -373,17 +388,7 @@ func TestHTTPBadRequests(t *testing.T) {
 	defer standalone.Close()
 	fronts := map[string]string{"server": standalone.URL, "router": startCluster(t, 1, t.TempDir(), "a").front.URL}
 
-	cases := []struct {
-		name, method, path, body string
-	}{
-		{"malformed json", "POST", "/v1/publish", `{"topic":`},
-		{"unknown topic kind", "POST", "/v1/publish", `{"topic":{"kind":"podcast","entity":1},"recipients":[1],"item":{"id":1}}`},
-		{"no recipients", "POST", "/v1/publish", `{"topic":{"kind":"friend-feed","entity":1},"item":{"id":1}}`},
-		{"unknown field", "POST", "/v1/publish", `{"topic":{"kind":"friend-feed","entity":1},"recipients":[1],"item":{"id":1},"extra":true}`},
-		{"over 1 MiB body", "POST", "/v1/publish", "{" + strings.Repeat(" ", 1<<20) + "}"},
-		{"bad user id", "GET", "/v1/users/zero/deliveries", ""},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRequests {
 		bodies := map[string]string{}
 		for front, base := range fronts {
 			req, err := http.NewRequest(tc.method, base+tc.path, strings.NewReader(tc.body))
